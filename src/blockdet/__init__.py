@@ -37,7 +37,6 @@ from .bkw import (
 from .determinism import (
     CheckResult,
     DeterminismReport,
-    full_report,
     is_k_block_deterministic,
     is_k_block_deterministic_expression,
     is_k_lookahead_deterministic,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .syntax import BlockSymbol
 
@@ -84,20 +84,35 @@ def _coerce_transition(t) -> Transition:
 EMPTY_AUTOMATON = BlockAutomaton.make()
 
 
-def fresh_name(used: Iterable[str], base: str) -> str:
-    """Return ``base`` primed until it avoids every name in ``used``."""
-    taken = set(used)
+def fresh_name(taken: Container[str], base: str) -> str:
+    """Return ``base`` primed until it avoids every name in ``taken``."""
     name = base
     while name in taken:
         name += "'"
     return name
 
 
-def _adjacency(a: BlockAutomaton) -> dict:
+# --- the per-state edge index ----------------------------------------------------
+#
+# Built in one pass per call and dropped on return.  Lists follow the
+# iteration order of the transition set, which varies with the hash seed:
+# sort a state's group where its order reaches output.
+
+
+def out_edges(a: BlockAutomaton) -> dict[str, list[Transition]]:
+    """Map every state to the transitions leaving it."""
     out: dict = {q: [] for q in a.states}
-    for t in a.sorted_transitions():
+    for t in a.transitions:
         out[t.source].append(t)
     return out
+
+
+def in_edges(a: BlockAutomaton) -> dict[str, list[Transition]]:
+    """Map every state to the transitions entering it."""
+    into: dict = {q: [] for q in a.states}
+    for t in a.transitions:
+        into[t.target].append(t)
+    return into
 
 
 # --- acceptance and enumeration ----------------------------------------------
@@ -105,14 +120,14 @@ def _adjacency(a: BlockAutomaton) -> dict:
 
 def accepts(a: BlockAutomaton, word: str) -> bool:
     """True iff the word factors into transition labels along an accepting path."""
-    adjacency = _adjacency(a)
+    edges = out_edges(a)
     seen = {(q, 0) for q in a.initials}
     agenda = list(seen)
     while agenda:
         state, pos = agenda.pop()
         if pos == len(word) and state in a.finals:
             return True
-        for t in adjacency[state]:
+        for t in edges[state]:
             end = pos + t.label.width
             if end <= len(word) and word.startswith(t.label.letters, pos):
                 step = (t.target, end)
@@ -128,7 +143,7 @@ def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     flat = expand_blocks(a)
-    adjacency = _adjacency(flat)
+    edges = out_edges(flat)
     letters = sorted(b.letters for b in flat.alphabet)
     out: list[str] = []
     level: dict[str, frozenset] = {"": frozenset(flat.initials)}
@@ -142,7 +157,7 @@ def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
                 targets = {
                     t.target
                     for q in reached
-                    for t in adjacency[q]
+                    for t in edges[q]
                     if t.label.letters == letter
                 }
                 if targets:
@@ -158,8 +173,8 @@ def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
 
 def trim(a: BlockAutomaton) -> BlockAutomaton:
     """Drop states that are not both accessible and co-accessible."""
-    forward = _reachable(a.transitions, a.initials, reverse=False)
-    backward = _reachable(a.transitions, a.finals, reverse=True)
+    forward = _reachable(out_edges(a), a.initials)
+    backward = _reachable(in_edges(a), a.finals, reverse=True)
     keep = forward & backward
     return BlockAutomaton.make(
         states=keep,
@@ -169,16 +184,14 @@ def trim(a: BlockAutomaton) -> BlockAutomaton:
     )
 
 
-def _reachable(transitions, seeds, reverse: bool) -> set:
-    edges: dict = {}
-    for t in transitions:
-        src, dst = (t.target, t.source) if reverse else (t.source, t.target)
-        edges.setdefault(src, []).append(dst)
+def _reachable(edges: dict, seeds: Iterable[str], reverse: bool = False) -> set:
+    """States reached from the seeds along an out_edges index, or backwards
+    along an in_edges index."""
     seen = set(seeds)
-    agenda = list(seeds)
+    agenda = list(seen)
     while agenda:
-        q = agenda.pop()
-        for nxt in edges.get(q, ()):
+        for t in edges[agenda.pop()]:
+            nxt = t.source if reverse else t.target
             if nxt not in seen:
                 seen.add(nxt)
                 agenda.append(nxt)
@@ -193,21 +206,17 @@ def standardize(a: BlockAutomaton) -> BlockAutomaton:
     States made unreachable are dropped.
     """
     start = fresh_name(a.states, "i'")
-    copied = {
-        Transition(start, t.label, t.target)
-        for t in a.transitions
-        if t.source in a.initials
-    }
-    transitions = set(a.transitions) | copied
+    edges = out_edges(a)
+    copied = {Transition(start, t.label, t.target) for q in a.initials for t in edges[q]}
     finals = set(a.finals)
     if a.initials & a.finals:
         finals.add(start)
-    reachable = _reachable(transitions, {start}, reverse=False)
+    reachable = _reachable(edges, {t.target for t in copied}) | {start}
     return BlockAutomaton.make(
         states=reachable,
         initials={start},
         finals={q for q in finals if q in reachable},
-        transitions=[t for t in transitions if t.source in reachable],
+        transitions=[t for t in a.transitions | copied if t.source in reachable],
     )
 
 
@@ -264,7 +273,7 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
         raise ValueError("determinize expects a width-1 automaton; expand blocks first")
     if not a.initials:
         return EMPTY_AUTOMATON
-    adjacency = _adjacency(a)
+    edges = out_edges(a)
     letters = sorted(a.alphabet)
     start = frozenset(a.initials)
     subsets = [start]
@@ -275,7 +284,7 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
         subset = agenda.popleft()
         for letter in letters:
             targets = frozenset(
-                t.target for q in subset for t in adjacency[q] if t.label == letter
+                t.target for q in subset for t in edges[q] if t.label == letter
             )
             if not targets:
                 continue
@@ -318,14 +327,11 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
     a = trim(a)
     if not a.states:
         return a
-    step: dict[str, dict[BlockSymbol, str]] = {q: {} for q in a.states}
-    for t in a.transitions:
-        step[t.source][t.label] = t.target
-    labels = sorted(a.alphabet)
+    edges = out_edges(a)
     block_of = {q: (q in a.finals) for q in a.states}
     while True:
         signature = {
-            q: (block_of[q], tuple(block_of.get(step[q].get(b)) for b in labels))
+            q: (block_of[q], frozenset((t.label, block_of[t.target]) for t in edges[q]))
             for q in a.states
         }
         fresh_ids: dict = {}
@@ -363,19 +369,16 @@ def _canonical(a: BlockAutomaton):
         return (0, frozenset(), frozenset())
     if not is_deterministic(a):
         raise ValueError("isomorphic expects deterministic automata")
-    step: dict[str, dict[BlockSymbol, str]] = {q: {} for q in a.states}
-    for t in a.transitions:
-        step[t.source][t.label] = t.target
+    edges = out_edges(a)
     (initial,) = a.initials
     number = {initial: 0}
     order = deque([initial])
     while order:
         q = order.popleft()
-        for label in sorted(step[q]):
-            target = step[q][label]
-            if target not in number:
-                number[target] = len(number)
-                order.append(target)
+        for t in sorted(edges[q], key=lambda t: t.label):
+            if t.target not in number:
+                number[t.target] = len(number)
+                order.append(t.target)
     if len(number) != len(a.states):
         raise ValueError("isomorphic expects trimmed automata")
     transitions = frozenset(

@@ -11,8 +11,10 @@ from .automaton import (
     BlockAutomaton,
     determinize,
     expand_blocks,
+    in_edges,
     is_deterministic,
     minimize,
+    out_edges,
     trim,
 )
 from .determinism import is_k_block_deterministic
@@ -47,23 +49,26 @@ class OrbitDecomposition:
 
 def orbit_decomposition(a: BlockAutomaton) -> OrbitDecomposition:
     """Strongly connected components with gates and triviality flags."""
-    components = _tarjan(a)
-    edges = {(t.source, t.target) for t in a.transitions}
+    return _orbits(a, out_edges(a))
+
+
+def _orbits(a: BlockAutomaton, edges: dict) -> OrbitDecomposition:
+    entering = in_edges(a)
     orbits = []
-    for component in components:
+    for component in _tarjan(a.states, edges):
         # trivial = singleton without a self-loop
-        trivial = len(component) == 1 and not any((q, q) in edges for q in component)
+        trivial = len(component) == 1 and not any(
+            t.target in component for q in component for t in edges[q]
+        )
         in_gates = {
             q
             for q in component
-            if q in a.initials
-            or any(t.target == q and t.source not in component for t in a.transitions)
+            if q in a.initials or any(t.source not in component for t in entering[q])
         }
         out_gates = {
             q
             for q in component
-            if q in a.finals
-            or any(t.source == q and t.target not in component for t in a.transitions)
+            if q in a.finals or any(t.target not in component for t in edges[q])
         }
         orbits.append(
             Orbit(frozenset(component), trivial, frozenset(in_gates), frozenset(out_gates))
@@ -72,18 +77,15 @@ def orbit_decomposition(a: BlockAutomaton) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(orbits))
 
 
-def _tarjan(a: BlockAutomaton) -> list[set]:
-    """Iterative Tarjan SCC over the transition graph."""
-    edges: dict = {q: [] for q in a.states}
-    for t in a.transitions:
-        edges[t.source].append(t.target)
+def _tarjan(states: frozenset, edges: dict) -> list[set]:
+    """Iterative Tarjan SCC over an out_edges index."""
     index: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
     stack: list = []
     components: list[set] = []
     counter = 0
-    for root in sorted(a.states):
+    for root in sorted(states):
         if root in index:
             continue
         work = [(root, 0)]
@@ -96,7 +98,7 @@ def _tarjan(a: BlockAutomaton) -> list[set]:
                 on_stack.add(node)
             advanced = False
             for i in range(child_i, len(edges[node])):
-                nxt = edges[node][i]
+                nxt = edges[node][i].target
                 if nxt not in index:
                     work.append((node, i + 1))
                     work.append((nxt, 0))
@@ -135,13 +137,17 @@ class OrbitPropertyResult:
 def orbit_property(a: BlockAutomaton) -> OrbitPropertyResult:
     """All out-gates of each orbit agree on finality and on every transition
     leaving the orbit."""
-    outside: dict = {}
-    for t in a.transitions:
-        outside.setdefault(t.source, set()).add((t.label, t.target))
-    for orbit in orbit_decomposition(a).orbits:
+    edges = out_edges(a)
+    return _orbit_property(a, _orbits(a, edges), edges)
+
+
+def _orbit_property(
+    a: BlockAutomaton, decomposition: OrbitDecomposition, edges: dict
+) -> OrbitPropertyResult:
+    for orbit in decomposition.orbits:
         gates = sorted(orbit.out_gates)
         leaving = {
-            g: {(b, r) for (b, r) in outside.get(g, ()) if r not in orbit.states}
+            g: {(t.label, t.target) for t in edges[g] if t.target not in orbit.states}
             for g in gates
         }
         for p in gates:
@@ -169,15 +175,10 @@ def consistent_symbols(a: BlockAutomaton) -> frozenset:
         return frozenset()
     if not is_deterministic(a):
         raise ValueError("consistent symbols are defined on deterministic automata")
-    step: dict = {}
-    for t in a.transitions:
-        step[(t.source, t.label)] = t.target
-    consistent = set()
-    for symbol in a.alphabet:
-        targets = {step.get((f, symbol)) for f in a.finals}
-        if len(targets) == 1 and None not in targets:
-            consistent.add(symbol)
-    return frozenset(consistent)
+    edges = out_edges(a)
+    moves = [{(t.label, t.target) for t in edges[f]} for f in a.finals]
+    shared = set.intersection(*moves) if moves else set()
+    return frozenset(label for label, _ in shared)
 
 
 def s_cut(a: BlockAutomaton, symbols: Iterable) -> BlockAutomaton:
@@ -203,16 +204,19 @@ def s_cut(a: BlockAutomaton, symbols: Iterable) -> BlockAutomaton:
 def orbit_automaton(a: BlockAutomaton, state: str) -> BlockAutomaton:
     """Restrict to the orbit of `state`, making it initial and the orbit's
     out-gates final."""
-    orbit = orbit_decomposition(a).orbit_of(state)
+    edges = out_edges(a)
+    orbit = _orbits(a, edges).orbit_of(state)
+    return _orbit_automaton(orbit, _inside(orbit, edges), state)
+
+
+def _inside(orbit: Orbit, edges: dict) -> list:
+    """The transitions with both ends in the orbit."""
+    return [t for q in orbit.states for t in edges[q] if t.target in orbit.states]
+
+
+def _orbit_automaton(orbit: Orbit, inside: list, state: str) -> BlockAutomaton:
     return BlockAutomaton.make(
-        states=orbit.states,
-        initials={state},
-        finals=orbit.out_gates,
-        transitions=[
-            t
-            for t in a.transitions
-            if t.source in orbit.states and t.target in orbit.states
-        ],
+        states=orbit.states, initials={state}, finals=orbit.out_gates, transitions=inside
     )
 
 
@@ -262,14 +266,16 @@ def _bkw_node(a: BlockAutomaton, context: str | None) -> BkwNode:
         return BkwNode(fingerprint, (), True, None, context=context)
     symbols = consistent_symbols(a)
     consistent = tuple(sorted(b.letters for b in symbols))
-    decomposition = orbit_decomposition(a)
+    cut = s_cut(a, symbols)
+    edges = out_edges(cut)
+    decomposition = _orbits(cut, edges)
+    # Without consistent symbols the cut is `a` itself, which is trimmed.
     single_nontrivial = (
         len(decomposition.orbits) == 1 and not decomposition.orbits[0].trivial
     )
     if single_nontrivial and not symbols:
         return BkwNode(fingerprint, (), None, "no-consistent-symbol", context=context)
-    cut = s_cut(a, symbols)
-    holds = orbit_property(cut)
+    holds = _orbit_property(cut, decomposition, edges)
     if not holds:
         return BkwNode(
             fingerprint,
@@ -281,10 +287,11 @@ def _bkw_node(a: BlockAutomaton, context: str | None) -> BkwNode:
             context=context,
         )
     children = []
-    for orbit in orbit_decomposition(cut).nontrivial():
+    for orbit in decomposition.nontrivial():
         label = "{" + ",".join(sorted(orbit.states)) + "}"
+        inside = _inside(orbit, edges)
         for q in sorted(orbit.states):
-            sub = minimize(orbit_automaton(cut, q))
+            sub = minimize(_orbit_automaton(orbit, inside, q))
             children.append(_bkw_node(sub, f"orbit {label} from {q}, minimized"))
     failure = None if all(child.ok for child in children) else "recursion"
     return BkwNode(

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = success / the checked property holds, 1 = the property fails
-(report still printed on stdout), 2 = usage, parse or I/O error.  Automata are
-read from files or standard input as JSON; expressions are inline arguments.
+(report still printed on stdout), 2 = usage, parse or I/O error, or an input
+too large to process.  Automata are read from files or standard input as
+JSON; expressions are inline arguments.
 """
 
 from __future__ import annotations
@@ -231,10 +232,10 @@ def _run_check(args, fmt: str) -> int:
         )
         return 0 if result.verdict else 1
     least = dt.min_lookahead(a)
-    report = dt.DeterminismReport(
-        au.is_deterministic(a), min_lookahead="none" if least is None else least
-    )
-    _emit(dt.report_to_json(report), fmt, text=f"min lookahead: {report.min_lookahead}")
+    payload = dt.report_to_json(dt.DeterminismReport(au.is_deterministic(a), min_lookahead=least))
+    if least is None:
+        payload["min_lookahead"] = "none"
+    _emit(payload, fmt, text=f"min lookahead: {payload['min_lookahead']}")
     return 0 if least is not None else 1
 
 
@@ -276,6 +277,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"blockdet: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # Exit 1 would read as "the property fails": report a crash as an error.
+        print(f"blockdet: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .automaton import BlockAutomaton, Transition, is_deterministic
+from .automaton import BlockAutomaton, Transition, out_edges
 from .glushkov import glushkov
 from .syntax import Empty, RegexAst, language, mark, width
 
@@ -33,7 +33,7 @@ class DeterminismReport:
     deterministic: bool
     k_block: CheckResult | None = None
     k_lookahead: CheckResult | None = None
-    min_lookahead: int | str | None = None
+    min_lookahead: int | None = None
 
 
 def report_to_json(report: DeterminismReport) -> dict:
@@ -69,11 +69,8 @@ def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     violations = []
-    by_source: dict = {}
-    for t in a.transitions:
-        by_source.setdefault(t.source, []).append(t)
-    for source in by_source:
-        ts = sorted(by_source[source])
+    for leaving in out_edges(a).values():
+        ts = sorted(leaving)
         for i, t1 in enumerate(ts):
             for t2 in ts[i + 1 :]:
                 if t2.label.letters.startswith(t1.label.letters) or t1.label.letters.startswith(
@@ -91,10 +88,10 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
         raise ValueError("k must be >= 1")
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    successors = _letter_successors(a)
+    edges = out_edges(a)
     violations = []
-    for t1, t2 in _same_label_pairs(a):
-        if _common_word_exists(successors, t1.target, t2.target, k - 1):
+    for t1, t2 in _same_label_pairs(edges):
+        if _common_word_exists(edges, t1.target, t2.target, k - 1):
             violations.append((t1, t2))
     verdict = len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, tuple(sorted(violations)))
@@ -107,55 +104,46 @@ def min_lookahead(a: BlockAutomaton) -> int | None:
         raise ValueError("lookahead determinism is defined on width-1 automata")
     if len(a.initials) != 1:
         return None
-    successors = _letter_successors(a)
+    edges = out_edges(a)
     needed = 1
-    for t1, t2 in _same_label_pairs(a):
-        depth = _longest_common_depth(successors, t1.target, t2.target)
+    for t1, t2 in _same_label_pairs(edges):
+        depth = _longest_common_depth(edges, t1.target, t2.target)
         if depth is None:
             return None
         needed = max(needed, depth + 2)
     return needed
 
 
-def _same_label_pairs(a: BlockAutomaton):
-    by_key: dict = {}
-    for t in a.transitions:
-        by_key.setdefault((t.source, t.label), []).append(t)
-    for ts in by_key.values():
-        ts.sort()
+def _same_label_pairs(edges: dict):
+    for leaving in edges.values():
+        # sorted, a state's transitions with one label are adjacent
+        ts = sorted(leaving)
         for i, t1 in enumerate(ts):
             for t2 in ts[i + 1 :]:
+                if t2.label != t1.label:
+                    break
                 yield t1, t2
 
 
-def _letter_successors(a: BlockAutomaton) -> dict:
-    out: dict = {q: {} for q in a.states}
-    for t in a.transitions:
-        out[t.source].setdefault(t.label, set()).add(t.target)
-    return out
-
-
-def _pair_successors(successors, pair):
+def _pair_successors(edges, pair):
     p, q = pair
-    for label, ptargets in successors[p].items():
-        qtargets = successors[q].get(label)
-        if not qtargets:
-            continue
-        for pt in ptargets:
-            for qt in qtargets:
+    for t1 in edges[p]:
+        for t2 in edges[q]:
+            if t1.label == t2.label:
+                pt, qt = t1.target, t2.target
                 yield (pt, qt) if pt <= qt else (qt, pt)
 
 
-def _common_word_exists(successors, q1, q2, length: int) -> bool:
+def _common_word_exists(edges, q1, q2, length: int) -> bool:
     frontier = {(q1, q2) if q1 <= q2 else (q2, q1)}
     for _ in range(length):
-        frontier = {nxt for pair in frontier for nxt in _pair_successors(successors, pair)}
+        frontier = {nxt for pair in frontier for nxt in _pair_successors(edges, pair)}
         if not frontier:
             return False
     return True
 
 
-def _longest_common_depth(successors, q1, q2) -> int | None:
+def _longest_common_depth(edges, q1, q2) -> int | None:
     """Longest common readable word from the pair, or None if unbounded.
 
     Explores the product graph; a reachable cycle means words of every
@@ -167,7 +155,7 @@ def _longest_common_depth(successors, q1, q2) -> int | None:
         pair = agenda.pop()
         if pair in graph:
             continue
-        graph[pair] = sorted(set(_pair_successors(successors, pair)))
+        graph[pair] = sorted(set(_pair_successors(edges, pair)))
         agenda.extend(graph[pair])
     depth: dict = {}
     ON_PATH = object()
@@ -207,19 +195,6 @@ def is_k_lookahead_deterministic_expression(expr: RegexAst, k: int) -> CheckResu
     if width(expr) > 1:
         raise ValueError("lookahead determinism is defined on width-1 expressions")
     return is_k_lookahead_deterministic(glushkov(expr).automaton, k)
-
-
-def full_report(a: BlockAutomaton, k: int | None = None) -> DeterminismReport:
-    """Bundle of every check that applies to the automaton."""
-    k_block = is_k_block_deterministic(a, k) if k is not None else None
-    k_la = None
-    minla: int | str | None = None
-    if a.width <= 1:
-        if k is not None:
-            k_la = is_k_lookahead_deterministic(a, k)
-        computed = min_lookahead(a)
-        minla = "none" if computed is None else computed
-    return DeterminismReport(is_deterministic(a), k_block, k_la, minla)
 
 
 # --- brute-force marked-language oracles ---------------------------------------------

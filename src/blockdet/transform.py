@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automaton import BlockAutomaton, Transition
+from .automaton import BlockAutomaton, Transition, in_edges, out_edges
 from .syntax import (
     BlockSymbol,
     Concat,
@@ -29,7 +29,7 @@ def eliminable(a: BlockAutomaton, state: str) -> bool:
         raise ValueError(f"unknown state: {state}")
     if state in a.initials or state in a.finals:
         return False
-    return not any(t.source == state and t.target == state for t in a.transitions)
+    return not any(Transition(state, b, state) in a.transitions for b in a.alphabet)
 
 
 def eliminate(a: BlockAutomaton, state: str) -> BlockAutomaton:
@@ -37,9 +37,9 @@ def eliminate(a: BlockAutomaton, state: str) -> BlockAutomaton:
     in/out transition pair (self-loops on neighbours included)."""
     if not eliminable(a, state):
         raise ValueError(f"state {state!r} is initial, final or has a self-loop")
-    incoming = [t for t in a.transitions if t.target == state]
-    outgoing = [t for t in a.transitions if t.source == state]
-    kept = {t for t in a.transitions if state not in (t.source, t.target)}
+    incoming = in_edges(a)[state]
+    outgoing = out_edges(a)[state]
+    kept = set(a.transitions).difference(incoming, outgoing)
     for i in incoming:
         for o in outgoing:
             kept.add(Transition(i.source, BlockSymbol(i.label.letters + o.label.letters), o.target))
@@ -67,10 +67,7 @@ def eliminate_set(a: BlockAutomaton, states: Iterable[str]) -> BlockAutomaton:
 
 
 def _induced_cycle(a: BlockAutomaton, subset: set) -> bool:
-    edges: dict = {q: set() for q in subset}
-    for t in a.transitions:
-        if t.source in subset and t.target in subset and t.source != t.target:
-            edges[t.source].add(t.target)
+    edges = out_edges(a)
     seen: dict = {}
     def visit(q) -> bool:
         if seen.get(q) == "active":
@@ -78,7 +75,7 @@ def _induced_cycle(a: BlockAutomaton, subset: set) -> bool:
         if seen.get(q) == "done":
             return False
         seen[q] = "active"
-        if any(visit(nxt) for nxt in edges[q]):
+        if any(visit(t.target) for t in edges[q] if t.target in subset and t.target != q):
             return True
         seen[q] = "done"
         return False

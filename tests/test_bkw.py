@@ -61,7 +61,7 @@ class TestOrbitDecomposition:
 
     def test_matches_reachability_quotient(self):
         # Cross-check the SCC computation against the mutual-reachability
-        # definition on random digraphs.
+        # definition, and each orbit's flags against theirs, on random automata.
         import random
 
         rng = random.Random(4242)
@@ -69,17 +69,37 @@ class TestOrbitDecomposition:
             n = rng.randint(1, 9)
             states = [f"s{i}" for i in range(n)]
             transitions = [
-                (rng.choice(states), "a", rng.choice(states))
+                (rng.choice(states), rng.choice("ab"), rng.choice(states))
                 for _ in range(rng.randint(0, 2 * n))
             ]
-            a = BlockAutomaton.make(states=states, transitions=set(transitions))
+            a = BlockAutomaton.make(
+                states=states,
+                initials={q for q in states if rng.random() < 0.3},
+                finals={q for q in states if rng.random() < 0.3},
+                transitions=set(transitions),
+            )
             reach = {q: _reachable_from(a, q) for q in states}
             expected = {
                 frozenset(p for p in states if q in reach[p] and p in reach[q])
                 for q in states
             }
-            got = {o.states for o in orbit_decomposition(a).orbits}
-            assert got == expected
+            orbits = orbit_decomposition(a).orbits
+            assert {o.states for o in orbits} == expected
+            loops = {t.source for t in a.transitions if t.source == t.target}
+            for o in orbits:
+                assert o.trivial == (len(o.states) == 1 and not o.states & loops)
+                assert o.in_gates == {
+                    q
+                    for q in o.states
+                    if q in a.initials
+                    or any(t.target == q and t.source not in o.states for t in a.transitions)
+                }
+                assert o.out_gates == {
+                    q
+                    for q in o.states
+                    if q in a.finals
+                    or any(t.source == q and t.target not in o.states for t in a.transitions)
+                }
 
 
 class TestOrbitProperty:

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from blockdet import from_json, isomorphic, minimal_dfa, parse, to_json
+import blockdet
+from blockdet import determinize, from_json, isomorphic, minimal_dfa, parse, to_json
 from blockdet.cli import main
 from blockdet.witnesses import block_bk, hanwood_mk
 
-from conftest import glushkov_two_block, min_dfa_two_block
+from conftest import glushkov_two_block, glushkov_two_lookahead, min_dfa_two_block
 
 
 def run(capsys, *argv):
@@ -109,6 +114,15 @@ class TestCheckVerb:
         code, data = run_json(capsys, "check", "min-lookahead", "b*a(b*a)*(a+b)")
         assert code == 0
         assert data["min_lookahead"] == 2
+
+    def test_min_lookahead_none(self, capsys):
+        # The two a-branches of (a+a)* read common words of every length.
+        code, data = run_json(capsys, "check", "min-lookahead", "(a+a)*")
+        assert code == 1
+        assert data["min_lookahead"] == "none"
+        code, out, err = run(capsys, "--text", "check", "min-lookahead", "(a+a)*")
+        assert code == 1
+        assert out == "min lookahead: none\n"
 
     def test_missing_k_is_usage_error(self, capsys):
         code, out, err = run(capsys, "check", "block", "[aa]")
@@ -237,3 +251,67 @@ class TestErrors:
     def test_dot_on_non_automaton_verb(self, capsys):
         code, out, err = run(capsys, "--dot", "parse", "a+b")
         assert code == 2
+
+    def test_wide_union_is_exit_2_not_fail(self, capsys):
+        code, out, err = run(capsys, "check", "one-unambiguous", "+".join(["a"] * 1100))
+        assert code == 2
+        assert err.startswith("blockdet: ")
+
+    def test_deep_parentheses_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "parse", "(" * 1500 + "a" + ")" * 1500)
+        assert code == 2
+        assert err.startswith("blockdet: ")
+
+
+_CORPUS_SCRIPT = """
+import contextlib, io, json, sys
+from blockdet.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(argv, code, out.getvalue())
+"""
+
+
+def _run_corpus(corpus, hash_seed):
+    src = str(Path(blockdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CORPUS_SCRIPT, json.dumps(corpus)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestHashSeedIndependence:
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path):
+        # Automata are frozensets, so iteration order follows the hash seed;
+        # output must not.
+        files = {
+            "nfa": glushkov_two_lookahead(),
+            "dfa": determinize(glushkov_two_lookahead()),
+            "blocks": glushkov_two_block(),
+        }
+        for name, a in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(to_json(a)))
+        nfa, dfa, blocks = (str(tmp_path / f"{name}.json") for name in files)
+        recursing = "(c+[ba])*+([cca]*[cb])*"
+        corpus = [
+            ["bkw", recursing],
+            ["--text", "bkw", recursing],
+            ["min", dfa],
+            ["det", nfa],
+            ["std", nfa],
+            ["expand", blocks],
+            ["eliminate", nfa, "-q", "a_2"],
+            ["check", "block", "-k", "1", "(a+ab+b)*a(a+b)"],
+        ]
+        first = _run_corpus(corpus, 0)
+        assert "orbit {cca_3," in first and '"violations": [\n      [' in first
+        assert _run_corpus(corpus, 1) == first

@@ -18,7 +18,7 @@ from blockdet import (
     report_to_json,
     width,
 )
-from blockdet.determinism import DeterminismReport, full_report
+from blockdet.determinism import DeterminismReport
 from blockdet.witnesses import block_bk
 
 from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, random_expression
@@ -226,11 +226,19 @@ class TestReport:
         assert data["k_block"]["k"] == 2
         assert data["k_block"]["verdict"] is True
         assert data["k_lookahead"] is None
+        assert data["min_lookahead"] is None
 
-    def test_full_report_width1(self):
-        data = report_to_json(full_report(glushkov_two_lookahead(), k=2))
-        assert data["min_lookahead"] == 2
+        a = glushkov_two_lookahead()
+        report = DeterminismReport(
+            is_deterministic(a),
+            k_lookahead=is_k_lookahead_deterministic(a, 2),
+            min_lookahead=min_lookahead(a),
+        )
+        data = report_to_json(report)
+        assert data["deterministic"] is False
+        assert data["k_block"] is None
         assert data["k_lookahead"]["verdict"] is True
+        assert data["min_lookahead"] == 2
 
     def test_violations_share_source(self):
         result = is_k_block_deterministic(glushkov_union_tail(), 1)

@@ -198,6 +198,34 @@ def _reachable(edges: dict, seeds: Iterable[str], reverse: bool = False) -> set:
     return seen
 
 
+def postorder(roots: Iterable, successors) -> list | None:
+    """Every node reachable from the roots, each listed after all of its
+    successors, or None when a cycle is reachable.  An iterative depth-first
+    search that calls ``successors(node)`` once per node."""
+    order: list = []
+    finished: set = set()
+    for root in roots:
+        if root in finished:
+            continue
+        on_path = {root}
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if nxt in on_path:
+                    return None
+                if nxt not in finished:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(node)
+                finished.add(node)
+                order.append(node)
+    return order
+
+
 def standardize(a: BlockAutomaton) -> BlockAutomaton:
     """Give the automaton a single initial state without incoming transitions.
 

@@ -238,7 +238,7 @@ class BkwNode:
 
     @property
     def ok(self) -> bool:
-        return self.failure is None and all(child.ok for child in self.children)
+        return self.failure is None
 
 
 @dataclass(frozen=True)

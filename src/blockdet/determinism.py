@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .automaton import BlockAutomaton, Transition, out_edges
+from .automaton import BlockAutomaton, Transition, out_edges, postorder
 from .glushkov import glushkov
 from .syntax import Empty, RegexAst, language, mark, width
 
@@ -150,35 +150,18 @@ def _longest_common_depth(edges, q1, q2) -> int | None:
     length are readable from both sides."""
     seed = (q1, q2) if q1 <= q2 else (q2, q1)
     graph: dict = {}
-    agenda = [seed]
-    while agenda:
-        pair = agenda.pop()
-        if pair in graph:
-            continue
-        graph[pair] = sorted(set(_pair_successors(edges, pair)))
-        agenda.extend(graph[pair])
-    depth: dict = {}
-    ON_PATH = object()
-    def longest(pair):
-        if pair in depth:
-            if depth[pair] is ON_PATH:
-                raise _Unbounded
-            return depth[pair]
-        depth[pair] = ON_PATH
-        best = 0
-        for nxt in graph[pair]:
-            best = max(best, 1 + longest(nxt))
-        depth[pair] = best
-        return best
 
-    try:
-        return longest(seed)
-    except _Unbounded:
+    def successors(pair):
+        graph[pair] = set(_pair_successors(edges, pair))
+        return graph[pair]
+
+    order = postorder([seed], successors)
+    if order is None:
         return None
-
-
-class _Unbounded(Exception):
-    pass
+    depth: dict = {}
+    for pair in order:
+        depth[pair] = max((1 + depth[nxt] for nxt in graph[pair]), default=0)
+    return depth[seed]
 
 
 # --- expression-level checks ------------------------------------------------------
@@ -262,18 +245,18 @@ def _block_oracle(prefixes: dict) -> OracleResult:
 def _lookahead_oracle(prefixes: dict, k: int) -> OracleResult:
     memo: dict = {}
 
-    def dropped_extensions(prefix, depth) -> frozenset:
-        """Dropped words of exactly `depth` symbols readable below `prefix`."""
-        if depth == 0:
-            return frozenset({""})
-        key = (prefix, depth)
-        if key not in memo:
-            memo[key] = frozenset(
-                sym.drop().letters + rest
-                for sym in prefixes[prefix]
-                for rest in dropped_extensions(prefix + (sym,), depth - 1)
-            )
-        return memo[key]
+    def dropped_extensions(prefix) -> frozenset:
+        """Dropped words of exactly k-1 symbols readable below `prefix`."""
+        if prefix not in memo:
+            frontier = [(prefix, "")]
+            for _ in range(k - 1):
+                frontier = [
+                    (below + (sym,), word + sym.drop().letters)
+                    for below, word in frontier
+                    for sym in prefixes[below]
+                ]
+            memo[prefix] = frozenset(word for _, word in frontier)
+        return memo[prefix]
 
     for prefix in sorted(prefixes, key=lambda p: (len(p), tuple(map(str, p)))):
         branches = sorted(prefixes[prefix])
@@ -281,8 +264,8 @@ def _lookahead_oracle(prefixes: dict, k: int) -> OracleResult:
             for b2 in branches[i + 1 :]:
                 if b1.drop() != b2.drop():
                     continue
-                d1 = dropped_extensions(prefix + (b1,), k - 1)
-                d2 = dropped_extensions(prefix + (b2,), k - 1)
+                d1 = dropped_extensions(prefix + (b1,))
+                d2 = dropped_extensions(prefix + (b2,))
                 if d1 & d2:
                     return OracleResult(False, (prefix, b1, b2))
     return OracleResult(True, None)

@@ -11,7 +11,6 @@ base letters are restricted to alphanumerics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping
 
 KEYWORDS = ("empty", "eps")
@@ -113,6 +112,33 @@ class Star(RegexAst):
     child: RegexAst
 
 
+def fold(ast: RegexAst, leaf, union, concat, star):
+    """Post-order fold of an expression without recursion: ``leaf(node)`` on
+    `empty`, `eps` and literals, left to right; ``union(left, right)``,
+    ``concat(left, right)`` and ``star(child)`` on the values of each inner
+    node's children."""
+    values: list = []
+    todo: list = [ast]  # nodes to visit, and node classes marking a combine step
+    while todo:
+        node = todo.pop()
+        if node is Union or node is Concat:
+            right = values.pop()
+            values[-1] = (union if node is Union else concat)(values[-1], right)
+        elif node is Star:
+            values[-1] = star(values[-1])
+        elif isinstance(node, (Literal, Epsilon, Empty)):
+            values.append(leaf(node))
+        elif isinstance(node, Union):
+            todo += (Union, node.right, node.left)
+        elif isinstance(node, Concat):
+            todo += (Concat, node.right, node.left)
+        elif isinstance(node, Star):
+            todo += (Star, node.child)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return values[0]
+
+
 # --- parsing ---------------------------------------------------------------
 
 _ATOM_STARTS = {"letter", "block", "(", "eps", "empty"}
@@ -158,56 +184,41 @@ def _lex(text: str) -> list[tuple[str, str | None, int]]:
 
 def parse(text: str) -> RegexAst:
     """Parse expression text into an AST; ``parse(to_text(e)) == e``."""
-    tokens = _lex(text)
-    ast, i = _parse_union(tokens, 0)
-    kind, _, pos = tokens[i]
-    if kind != "end":
-        raise ExprSyntaxError("unexpected trailing input", pos)
-    return ast
-
-
-def _parse_union(toks, i):
-    node, i = _parse_concat(toks, i)
-    while toks[i][0] == "+":
-        right, i = _parse_concat(toks, i + 1)
-        node = Union(node, right)
-    return node, i
-
-
-def _parse_concat(toks, i):
-    node, i = _parse_star(toks, i)
-    while True:
-        kind = toks[i][0]
-        if kind == ".":
-            right, i = _parse_star(toks, i + 1)
-        elif kind in _ATOM_STARTS:
-            right, i = _parse_star(toks, i)
+    groups: list[tuple] = []  # (union, concat) of each enclosing open parenthesis
+    # `union` and `concat` are the left operands built so far in the current
+    # group; `node` is the operand being read, None while one is expected.
+    union = concat = node = None
+    for kind, value, pos in _lex(text):
+        if node is not None:
+            if kind == "*":
+                node = Star(node)
+                continue
+            concat = node if concat is None else Concat(concat, node)
+            node = None
+            if kind == "+":
+                union, concat = concat if union is None else Union(union, concat), None
+            elif kind in (")", "end"):
+                closed = concat if union is None else Union(union, concat)
+                if kind == "end":
+                    if groups:
+                        raise ExprSyntaxError("expected )", pos)
+                    return closed
+                if not groups:
+                    raise ExprSyntaxError("unexpected trailing input", pos)
+                (union, concat), node = groups.pop(), closed
+            if kind not in _ATOM_STARTS:
+                continue
+        if kind in ("letter", "block"):
+            node = Literal(BlockSymbol(value))
+        elif kind == "eps":
+            node = Epsilon()
+        elif kind == "empty":
+            node = Empty()
+        elif kind == "(":
+            groups.append((union, concat))
+            union = concat = None
         else:
-            return node, i
-        node = Concat(node, right)
-
-
-def _parse_star(toks, i):
-    node, i = _parse_atom(toks, i)
-    while toks[i][0] == "*":
-        node, i = Star(node), i + 1
-    return node, i
-
-
-def _parse_atom(toks, i):
-    kind, value, pos = toks[i]
-    if kind in ("letter", "block"):
-        return Literal(BlockSymbol(value)), i + 1
-    if kind == "eps":
-        return Epsilon(), i + 1
-    if kind == "empty":
-        return Empty(), i + 1
-    if kind == "(":
-        node, i = _parse_union(toks, i + 1)
-        if toks[i][0] != ")":
-            raise ExprSyntaxError("expected )", toks[i][2])
-        return node, i + 1
-    raise ExprSyntaxError("expected an expression", pos)
+            raise ExprSyntaxError("expected an expression", pos)
 
 
 # --- printing --------------------------------------------------------------
@@ -215,30 +226,28 @@ def _parse_atom(toks, i):
 
 def to_text(ast: RegexAst) -> str:
     """Render to concrete syntax (round-trips through parse for plain ASTs)."""
-    return _render(ast, 1)
+
+    def wrap(part: tuple[str, int], min_prec: int) -> str:
+        text, prec = part
+        return f"({text})" if prec < min_prec else text
+
+    text, _ = fold(
+        ast,
+        lambda leaf: (_leaf_text(leaf), 4),
+        lambda left, right: (left[0] + "+" + wrap(right, 2), 1),
+        lambda left, right: (_join(wrap(left, 2), wrap(right, 3)), 2),
+        lambda child: (wrap(child, 3) + "*", 3),
+    )
+    return text
 
 
-def _render(node: RegexAst, min_prec: int) -> str:
-    if isinstance(node, Empty):
-        text, prec = "empty", 4
-    elif isinstance(node, Epsilon):
-        text, prec = "eps", 4
-    elif isinstance(node, Literal):
-        text, prec = _symbol_text(node.symbol), 4
-    elif isinstance(node, Star):
-        text, prec = _render(node.child, 3) + "*", 3
-    elif isinstance(node, Concat):
-        text, prec = _join(_render(node.left, 2), _render(node.right, 3)), 2
-    elif isinstance(node, Union):
-        text, prec = _render(node.left, 1) + "+" + _render(node.right, 2), 1
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return f"({text})" if prec < min_prec else text
-
-
-def _symbol_text(symbol) -> str:
-    pretty = getattr(symbol, "pretty", None)
-    return pretty() if pretty is not None else str(symbol)
+def _leaf_text(leaf: RegexAst) -> str:
+    if isinstance(leaf, Empty):
+        return "empty"
+    if isinstance(leaf, Epsilon):
+        return "eps"
+    pretty = getattr(leaf.symbol, "pretty", None)
+    return pretty() if pretty is not None else str(leaf.symbol)
 
 
 def _join(left: str, right: str) -> str:
@@ -266,13 +275,15 @@ class MarkedExpression:
 
 def literal_symbols(ast: RegexAst) -> Iterator:
     """Leaf symbols in left-to-right order."""
-    if isinstance(ast, Literal):
-        yield ast.symbol
-    elif isinstance(ast, (Union, Concat)):
-        yield from literal_symbols(ast.left)
-        yield from literal_symbols(ast.right)
-    elif isinstance(ast, Star):
-        yield from literal_symbols(ast.child)
+    symbols: list = []
+
+    def leaf(node: RegexAst) -> None:
+        if isinstance(node, Literal):
+            symbols.append(node.symbol)
+
+    skip = lambda *_: None
+    fold(ast, leaf, skip, skip, skip)
+    return iter(symbols)
 
 
 def width(ast: RegexAst) -> int:
@@ -280,19 +291,12 @@ def width(ast: RegexAst) -> int:
     return max((sym.drop().width for sym in literal_symbols(ast)), default=0)
 
 
-def _contains_empty(ast: RegexAst) -> bool:
-    if isinstance(ast, Empty):
-        return True
-    if isinstance(ast, (Union, Concat)):
-        return _contains_empty(ast.left) or _contains_empty(ast.right)
-    if isinstance(ast, Star):
-        return _contains_empty(ast.child)
-    return False
-
-
 def is_trimmed(ast: RegexAst) -> bool:
     """True iff the expression is `empty` itself or contains no `empty` node."""
-    return isinstance(ast, Empty) or not _contains_empty(ast)
+    if isinstance(ast, Empty):
+        return True
+    either = lambda left, right: left or right
+    return not fold(ast, lambda leaf: isinstance(leaf, Empty), either, either, bool)
 
 
 def mark(ast: RegexAst) -> MarkedExpression:
@@ -300,42 +304,27 @@ def mark(ast: RegexAst) -> MarkedExpression:
     if not is_trimmed(ast):
         raise ValueError("expression is not trimmed: `empty` occurs as a subterm")
     acc: list[Position] = []
-    marked = _mark(ast, acc)
-    return MarkedExpression(marked, tuple(acc))
 
-
-def _mark(node: RegexAst, acc: list[Position]) -> RegexAst:
-    if isinstance(node, Literal):
+    def leaf(node: RegexAst) -> RegexAst:
+        if not isinstance(node, Literal):
+            return node
         if not isinstance(node.symbol, BlockSymbol):
             raise ValueError("expression is already marked")
-        position = Position(len(acc) + 1, node.symbol)
-        acc.append(position)
-        return Literal(position)
-    if isinstance(node, Union):
-        return Union(_mark(node.left, acc), _mark(node.right, acc))
-    if isinstance(node, Concat):
-        return Concat(_mark(node.left, acc), _mark(node.right, acc))
-    if isinstance(node, Star):
-        return Star(_mark(node.child, acc))
-    return node
+        acc.append(Position(len(acc) + 1, node.symbol))
+        return Literal(acc[-1])
+
+    marked = fold(ast, leaf, Union, Concat, Star)
+    return MarkedExpression(marked, tuple(acc))
 
 
 def drop(value: MarkedExpression | RegexAst) -> RegexAst:
     """Remove indices (and flatten expanded letters) back to a plain expression."""
     ast = value.ast if isinstance(value, MarkedExpression) else value
-    return _drop(ast)
+    return fold(ast, _drop_leaf, Union, Concat, Star)
 
 
-def _drop(node: RegexAst) -> RegexAst:
-    if isinstance(node, Literal):
-        return Literal(node.symbol.drop())
-    if isinstance(node, Union):
-        return Union(_drop(node.left), _drop(node.right))
-    if isinstance(node, Concat):
-        return Concat(_drop(node.left), _drop(node.right))
-    if isinstance(node, Star):
-        return Star(_drop(node.child))
-    return node
+def _drop_leaf(node: RegexAst) -> RegexAst:
+    return Literal(node.symbol.drop()) if isinstance(node, Literal) else node
 
 
 # --- position functions ------------------------------------------------------
@@ -359,38 +348,35 @@ def positions(marked: MarkedExpression | RegexAst) -> PositionTable:
         if sym in follow:
             raise ValueError(f"symbol occurs twice, input is not marked: {sym}")
         follow[sym] = set()
-    nullable, first, last = _scan(ast, follow)
+
+    def leaf(node: RegexAst) -> tuple[bool, set, set]:
+        if isinstance(node, Literal):
+            return False, {node.symbol}, {node.symbol}
+        return isinstance(node, Epsilon), set(), set()
+
+    def union(left, right):
+        (nl, fl, ll), (nr, fr, lr) = left, right
+        return nl or nr, fl | fr, ll | lr
+
+    def concat(left, right):
+        (nl, fl, ll), (nr, fr, lr) = left, right
+        for x in ll:
+            follow[x] |= fr
+        return nl and nr, fl | (fr if nl else set()), lr | (ll if nr else set())
+
+    def star(child):
+        _, f, l = child
+        for x in l:
+            follow[x] |= f
+        return True, f, l
+
+    nullable, first, last = fold(ast, leaf, union, concat, star)
     return PositionTable(
         nullable,
         frozenset(first),
         frozenset(last),
         {x: frozenset(s) for x, s in follow.items()},
     )
-
-
-def _scan(node: RegexAst, follow: dict) -> tuple[bool, set, set]:
-    if isinstance(node, Empty):
-        return False, set(), set()
-    if isinstance(node, Epsilon):
-        return True, set(), set()
-    if isinstance(node, Literal):
-        return False, {node.symbol}, {node.symbol}
-    if isinstance(node, Union):
-        nl, fl, ll = _scan(node.left, follow)
-        nr, fr, lr = _scan(node.right, follow)
-        return nl or nr, fl | fr, ll | lr
-    if isinstance(node, Concat):
-        nl, fl, ll = _scan(node.left, follow)
-        nr, fr, lr = _scan(node.right, follow)
-        for x in ll:
-            follow[x] |= fr
-        return nl and nr, fl | (fr if nl else set()), lr | (ll if nr else set())
-    if isinstance(node, Star):
-        n, f, l = _scan(node.child, follow)
-        for x in l:
-            follow[x] |= f
-        return True, f, l
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # --- bounded language semantics ----------------------------------------------
@@ -404,43 +390,38 @@ def language(ast: RegexAst, max_symbols: int) -> set[tuple]:
     """
     if max_symbols < 0:
         raise ValueError("max_symbols must be >= 0")
-    return _language(ast, max_symbols)
+    lengths = range(max_symbols + 1)
 
+    # A language is a list of word sets indexed by word length, so that
+    # concatenation pairs only words whose lengths stay within the bound.
+    def leaf(node: RegexAst) -> list[set]:
+        words: list[set] = [set() for _ in lengths]
+        if isinstance(node, Epsilon):
+            words[0].add(())
+        elif isinstance(node, Literal) and max_symbols >= 1:
+            words[1].add((node.symbol,))
+        return words
 
-@lru_cache(maxsize=None)
-def _language(ast: RegexAst, max_symbols: int) -> frozenset:
-    if isinstance(ast, Empty):
-        return frozenset()
-    if isinstance(ast, Epsilon):
-        return frozenset({()})
-    if isinstance(ast, Literal):
-        return frozenset({(ast.symbol,)}) if max_symbols >= 1 else frozenset()
-    if isinstance(ast, Union):
-        return _language(ast.left, max_symbols) | _language(ast.right, max_symbols)
-    if isinstance(ast, Concat):
-        out = set()
-        for u in _language(ast.left, max_symbols):
-            room = max_symbols - len(u)
-            for v in _language(ast.right, room):
-                out.add(u + v)
-        return frozenset(out)
-    if isinstance(ast, Star):
-        steps_by_len: dict[int, list] = {}
-        for w in _language(ast.child, max_symbols):
-            if w:
-                steps_by_len.setdefault(len(w), []).append(w)
-        words: set[tuple] = {()}
-        frontier: set[tuple] = {()}
-        while frontier:
-            grown: set[tuple] = set()
-            for u in frontier:
-                for step_len in range(1, max_symbols - len(u) + 1):
-                    for v in steps_by_len.get(step_len, ()):
-                        grown.add(u + v)
-            frontier = grown - words
-            words |= frontier
-        return frozenset(words)
-    raise TypeError(f"not an expression node: {ast!r}")
+    def union(left: list[set], right: list[set]) -> list[set]:
+        return [u | v for u, v in zip(left, right)]
+
+    def concat(left: list[set], right: list[set]) -> list[set]:
+        words: list[set] = [set() for _ in lengths]
+        for i, us in enumerate(left):
+            for j in range(max_symbols - i + 1):
+                words[i + j].update(u + v for u in us for v in right[j])
+        return words
+
+    def star(child: list[set]) -> list[set]:
+        # words of length n: a shorter star word followed by one non-empty step
+        words: list[set] = [{()}]
+        for n in lengths[1:]:
+            words.append(
+                {u + v for step in range(1, n + 1) for u in words[n - step] for v in child[step]}
+            )
+        return words
+
+    return frozenset().union(*fold(ast, leaf, union, concat, star))
 
 
 def base_language(ast: RegexAst, max_letters: int) -> set[str]:
@@ -457,37 +438,52 @@ def base_language(ast: RegexAst, max_letters: int) -> set[str]:
 
 
 def ast_to_json(ast: RegexAst) -> dict:
-    if isinstance(ast, Empty):
+    return fold(
+        ast,
+        _leaf_json,
+        lambda left, right: {"kind": "union", "left": left, "right": right},
+        lambda left, right: {"kind": "concat", "left": left, "right": right},
+        lambda child: {"kind": "star", "child": child},
+    )
+
+
+def _leaf_json(node: RegexAst) -> dict:
+    if isinstance(node, Empty):
         return {"kind": "empty"}
-    if isinstance(ast, Epsilon):
+    if isinstance(node, Epsilon):
         return {"kind": "epsilon"}
-    if isinstance(ast, Literal):
-        symbol = ast.symbol
-        text = symbol.letters if isinstance(symbol, BlockSymbol) else str(symbol)
-        return {"kind": "literal", "symbol": text}
-    if isinstance(ast, Union):
-        return {"kind": "union", "left": ast_to_json(ast.left), "right": ast_to_json(ast.right)}
-    if isinstance(ast, Concat):
-        return {"kind": "concat", "left": ast_to_json(ast.left), "right": ast_to_json(ast.right)}
-    if isinstance(ast, Star):
-        return {"kind": "star", "child": ast_to_json(ast.child)}
-    raise TypeError(f"not an expression node: {ast!r}")
+    symbol = node.symbol
+    text = symbol.letters if isinstance(symbol, BlockSymbol) else str(symbol)
+    return {"kind": "literal", "symbol": text}
 
 
 def ast_from_json(data: dict) -> RegexAst:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("expression JSON must be an object with a 'kind' field")
-    kind = data["kind"]
-    if kind == "empty":
-        return Empty()
-    if kind == "epsilon":
-        return Epsilon()
-    if kind == "literal":
-        return Literal(BlockSymbol(data["symbol"]))
-    if kind == "union":
-        return Union(ast_from_json(data["left"]), ast_from_json(data["right"]))
-    if kind == "concat":
-        return Concat(ast_from_json(data["left"]), ast_from_json(data["right"]))
-    if kind == "star":
-        return Star(ast_from_json(data["child"]))
-    raise ValueError(f"unknown expression node kind: {kind!r}")
+    built: list[RegexAst] = []
+    todo: list = [data]  # JSON objects to read, and node classes marking a build step
+    while todo:
+        item = todo.pop()
+        if item is Union or item is Concat:
+            right = built.pop()
+            built[-1] = item(built[-1], right)
+            continue
+        if item is Star:
+            built[-1] = Star(built[-1])
+            continue
+        if not isinstance(item, dict) or "kind" not in item:
+            raise ValueError("expression JSON must be an object with a 'kind' field")
+        kind = item["kind"]
+        if kind == "empty":
+            built.append(Empty())
+        elif kind == "epsilon":
+            built.append(Epsilon())
+        elif kind == "literal":
+            built.append(Literal(BlockSymbol(item["symbol"])))
+        elif kind == "union":
+            todo += (Union, item["right"], item["left"])
+        elif kind == "concat":
+            todo += (Concat, item["right"], item["left"])
+        elif kind == "star":
+            todo += (Star, item["child"])
+        else:
+            raise ValueError(f"unknown expression node kind: {kind!r}")
+    return built[0]

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automaton import BlockAutomaton, Transition, in_edges, out_edges
+from .automaton import BlockAutomaton, Transition, in_edges, out_edges, postorder
 from .syntax import (
     BlockSymbol,
     Concat,
@@ -16,6 +16,7 @@ from .syntax import (
     RegexAst,
     Star,
     Union,
+    fold,
 )
 
 
@@ -68,19 +69,11 @@ def eliminate_set(a: BlockAutomaton, states: Iterable[str]) -> BlockAutomaton:
 
 def _induced_cycle(a: BlockAutomaton, subset: set) -> bool:
     edges = out_edges(a)
-    seen: dict = {}
-    def visit(q) -> bool:
-        if seen.get(q) == "active":
-            return True
-        if seen.get(q) == "done":
-            return False
-        seen[q] = "active"
-        if any(visit(t.target) for t in edges[q] if t.target in subset and t.target != q):
-            return True
-        seen[q] = "done"
-        return False
 
-    return any(visit(q) for q in subset)
+    def successors(q):
+        return [t.target for t in edges[q] if t.target in subset and t.target != q]
+
+    return postorder(subset, successors) is None
 
 
 # --- the letter expansion of blocks -------------------------------------------------
@@ -129,28 +122,21 @@ def chi(marked: MarkedExpression) -> MarkedExpression:
     """Replace every indexed block by the concatenation of its expanded
     letters, turning a marked block expression into a marked plain one."""
     acc: list[ExpandedSymbol] = []
-    ast = _chi(marked.ast, acc)
-    return MarkedExpression(ast, tuple(acc))
 
-
-def _chi(node: RegexAst, acc: list) -> RegexAst:
-    if isinstance(node, Literal):
-        position = node.symbol
-        if not isinstance(position, Position):
+    def leaf(node: RegexAst) -> RegexAst:
+        if not isinstance(node, Literal):
+            return node
+        if not isinstance(node.symbol, Position):
             raise ValueError("chi needs a marked block expression")
-        symbols = phi(position)
+        symbols = phi(node.symbol)
         acc.extend(symbols)
         out: RegexAst = Literal(symbols[0])
         for sym in symbols[1:]:
             out = Concat(out, Literal(sym))
         return out
-    if isinstance(node, Union):
-        return Union(_chi(node.left, acc), _chi(node.right, acc))
-    if isinstance(node, Concat):
-        return Concat(_chi(node.left, acc), _chi(node.right, acc))
-    if isinstance(node, Star):
-        return Star(_chi(node.child, acc))
-    return node
+
+    ast = fold(marked.ast, leaf, Union, Concat, Star)
+    return MarkedExpression(ast, tuple(acc))
 
 
 def block_lengths(marked: MarkedExpression) -> dict:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import blockdet
-from blockdet import determinize, from_json, isomorphic, minimal_dfa, parse, to_json
+from blockdet import BlockAutomaton, determinize, from_json, isomorphic, minimal_dfa, parse, to_json
 from blockdet.cli import main
 from blockdet.witnesses import block_bk, hanwood_mk
 
@@ -252,15 +252,40 @@ class TestErrors:
         code, out, err = run(capsys, "--dot", "parse", "a+b")
         assert code == 2
 
-    def test_wide_union_is_exit_2_not_fail(self, capsys):
-        code, out, err = run(capsys, "check", "one-unambiguous", "+".join(["a"] * 1100))
-        assert code == 2
-        assert err.startswith("blockdet: ")
+    def test_wide_union_answers(self, capsys):
+        code, data = run_json(capsys, "check", "one-unambiguous", "+".join(["a"] * 1100))
+        assert code == 0
+        assert data == {"one_unambiguous": True}
 
-    def test_deep_parentheses_is_exit_2(self, capsys):
-        code, out, err = run(capsys, "parse", "(" * 1500 + "a" + ")" * 1500)
+    def test_deep_parentheses_answer(self, capsys):
+        code, data = run_json(capsys, "parse", "(" * 1500 + "a" + ")" * 1500)
+        assert code == 0
+        assert data == run_json(capsys, "parse", "a")[1]
+
+    def test_long_chains_min_lookahead(self, capsys, tmp_path):
+        # Two a-chains of 1500 and 1499 states off one initial state: both
+        # branches read a^1498 after the shared first letter and no more.
+        xs = [f"x{j}" for j in range(1, 1501)]
+        ys = [f"y{j}" for j in range(1, 1500)]
+        transitions = [("i", "a", xs[0]), ("i", "a", ys[0])]
+        transitions += [(u, "a", v) for chain in (xs, ys) for u, v in zip(chain, chain[1:])]
+        a = BlockAutomaton.make(
+            states=["i", *xs, *ys], initials=["i"], finals=[xs[-1], ys[-1]], transitions=transitions
+        )
+        path = tmp_path / "chains.json"
+        path.write_text(json.dumps(to_json(a)))
+        code, data = run_json(capsys, "check", "min-lookahead", str(path))
+        assert code == 0
+        assert data["min_lookahead"] == 1500
+
+    def test_recursion_error_is_exit_2_not_fail(self, capsys, monkeypatch):
+        def overflow(value):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("blockdet.bkw.is_one_unambiguous", overflow)
+        code, out, err = run(capsys, "check", "one-unambiguous", "a")
         assert code == 2
-        assert err.startswith("blockdet: ")
+        assert err.startswith("blockdet: input too large to process")
 
 
 _CORPUS_SCRIPT = """

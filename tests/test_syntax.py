@@ -1,9 +1,15 @@
 """Parser, printer, marking and the position functions."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockdet
 from blockdet import (
     BlockSymbol,
     ExprSyntaxError,
@@ -89,6 +95,33 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(ExprSyntaxError):
             parse("a&b")
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("", "expected an expression", 0),
+            ("a+", "expected an expression", 2),
+            ("+a", "expected an expression", 0),
+            ("(a", "expected )", 2),
+            ("a)", "unexpected trailing input", 1),
+            ("()", "expected an expression", 1),
+            ("*", "expected an expression", 0),
+            ("a.", "expected an expression", 2),
+            (".a", "expected an expression", 0),
+            ("a..b", "expected an expression", 2),
+            ("a+*", "expected an expression", 2),
+            ("(*a)", "expected an expression", 1),
+            ("a(+b)", "expected an expression", 2),
+            ("[]", "empty block []", 0),
+            ("[ab", "unterminated block literal", 0),
+            ("a&b", "unexpected character '&'", 1),
+        ],
+    )
+    def test_error_message_and_column(self, text, message, column):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at column {column})"
+        assert err.value.position == column
 
 
 class TestPrint:
@@ -241,6 +274,85 @@ class TestJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             ast_from_json({"kind": "nope"})
+
+
+# Runs every expression walk under a recursion limit far below the inputs'
+# depth, so a walk that recurses per node fails here.  Results are compared
+# as to_text strings and counts: AST and dict equality recurse themselves.
+_DEEP_SCRIPT = """
+import json, sys
+from blockdet import (
+    ast_from_json, ast_to_json, drop, glushkov, is_trimmed, mark, parse, positions, to_text, width,
+)
+from blockdet.syntax import language
+from blockdet.transform import chi
+sys.setrecursionlimit(120)
+for text in json.loads(sys.argv[1]):
+    ast = parse(text)
+    marked = mark(ast)
+    table = positions(marked)
+    automaton = glushkov(ast).automaton
+    print(json.dumps({
+        "text": to_text(ast),
+        "chi": to_text(drop(chi(marked))),
+        "json": to_text(ast_from_json(ast_to_json(ast))),
+        "table": [
+            len(marked.positions),
+            table.nullable,
+            len(table.first),
+            len(table.last),
+            sum(map(len, table.follow.values())),
+        ],
+        "automaton": [len(automaton.states), len(automaton.transitions)],
+        "width": width(ast),
+        "trimmed": is_trimmed(ast),
+        "words": len(language(ast, 2)),
+    }))
+"""
+
+
+def test_deep_inputs_need_no_recursion():
+    n = 3000
+    stars = "a" + "*" * n
+    # text -> (rendering, [positions, nullable, |first|, |last|, |follow|],
+    #          [states, transitions], words of at most 2 symbols)
+    cases = {
+        "+".join(["a"] * n): ("+".join(["a"] * n), [n, False, n, n, 0], [n + 1, n], 1),
+        "(" * n + "a" + ")" * n: ("a", [1, False, 1, 1, 0], [2, 1], 1),
+        "a(" * n + "a" + ")" * n: (
+            "a(" * (n - 1) + "aa" + ")" * (n - 1),
+            [n + 1, False, 1, 1, n],
+            [n + 2, n + 1],
+            0,
+        ),
+        stars: (stars, [1, True, 1, 1, 1], [2, 2], 3),
+        "(" * n + "a" + ")*" * n: (stars, [1, True, 1, 1, 1], [2, 2], 3),
+    }
+    src = str(Path(blockdet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_SCRIPT, json.dumps(list(cases))],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(cases)
+    for line, (text, table, automaton, words) in zip(lines, cases.values()):
+        got = json.loads(line)
+        assert got == {
+            "text": text,
+            "chi": text,
+            "json": text,
+            "table": table,
+            "automaton": automaton,
+            "width": 1,
+            "trimmed": True,
+            "words": words,
+        }
 
 
 def test_width():

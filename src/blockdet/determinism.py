@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .automaton import BlockAutomaton, Transition, out_edges, postorder
 from .glushkov import glushkov
-from .syntax import Empty, RegexAst, language, mark, width
+from .syntax import Empty, RegexAst, language, mark, parse, to_text, width
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,9 @@ def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     non-prefix outgoing labels (equal labels to distinct targets count)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    violations = []
-    for leaving in out_edges(a).values():
-        ts = sorted(leaving)
-        for i, t1 in enumerate(ts):
-            for t2 in ts[i + 1 :]:
-                if t2.label.letters.startswith(t1.label.letters) or t1.label.letters.startswith(
-                    t2.label.letters
-                ):
-                    violations.append((t1, t2))
+    violations = tuple(sorted(_clashing_pairs(out_edges(a), str.startswith)))
     verdict = a.width <= k and len(a.initials) == 1 and not violations
-    return CheckResult(k, verdict, tuple(sorted(violations)))
+    return CheckResult(k, verdict, violations)
 
 
 def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
@@ -90,7 +82,7 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
         raise ValueError("lookahead determinism is defined on width-1 automata")
     edges = out_edges(a)
     violations = []
-    for t1, t2 in _same_label_pairs(edges):
+    for t1, t2 in _clashing_pairs(edges, str.__eq__):
         if _common_word_exists(edges, t1.target, t2.target, k - 1):
             violations.append((t1, t2))
     verdict = len(a.initials) == 1 and not violations
@@ -106,7 +98,7 @@ def min_lookahead(a: BlockAutomaton) -> int | None:
         return None
     edges = out_edges(a)
     needed = 1
-    for t1, t2 in _same_label_pairs(edges):
+    for t1, t2 in _clashing_pairs(edges, str.__eq__):
         depth = _longest_common_depth(edges, t1.target, t2.target)
         if depth is None:
             return None
@@ -114,15 +106,20 @@ def min_lookahead(a: BlockAutomaton) -> int | None:
     return needed
 
 
-def _same_label_pairs(edges: dict):
+def _clashing_pairs(edges: dict, clash):
+    """Pairs (t1, t2) of one state's out-edges, t1 before t2 in sorted order,
+    with ``clash(t2's letters, t1's letters)``.
+
+    `clash` must hold only for labels equal to or extending t1's: sorted,
+    those follow t1 in one run, so the scan stops at the first label that
+    does not clash."""
     for leaving in edges.values():
-        # sorted, a state's transitions with one label are adjacent
         ts = sorted(leaving)
         for i, t1 in enumerate(ts):
-            for t2 in ts[i + 1 :]:
-                if t2.label != t1.label:
-                    break
-                yield t1, t2
+            j = i + 1
+            while j < len(ts) and clash(ts[j].label.letters, t1.label.letters):
+                yield t1, ts[j]
+                j += 1
 
 
 def _pair_successors(edges, pair):
@@ -204,12 +201,11 @@ def marked_language_oracle(kind: str, expr: RegexAst, k: int, maxlen: int) -> Or
         raise ValueError("maxlen must be >= 0")
     if isinstance(expr, Empty):
         return OracleResult(True, None)
-    marked = mark(expr)
-    prefixes = _marked_prefixes(marked.ast, maxlen)
+    prefixes = _marked_prefixes(to_text(expr), maxlen)
     if kind == "block":
         if width(expr) > k:
             return OracleResult(False, None)
-        return _block_oracle(prefixes)
+        return _first_clash(prefixes, _block_clash)
     if width(expr) > 1:
         raise ValueError("lookahead determinism is defined on width-1 expressions")
     return _lookahead_oracle(prefixes, k)
@@ -226,20 +222,27 @@ def _prefix_tree(words: Iterable[tuple]) -> dict:
     return children
 
 
+# Keyed on the expression's text: hashing the AST itself recurses per level.
 @lru_cache(maxsize=256)
-def _marked_prefixes(marked_ast: RegexAst, maxlen: int) -> dict:
-    return _prefix_tree(language(marked_ast, maxlen))
+def _marked_prefixes(text: str, maxlen: int) -> dict:
+    return _prefix_tree(language(mark(parse(text)).ast, maxlen))
 
 
-def _block_oracle(prefixes: dict) -> OracleResult:
+def _first_clash(prefixes: dict, clash) -> OracleResult:
+    """The least (prefix, first branch, second branch) whose branches clash,
+    with ``clash(prefix, b1, b2)`` on each pair of branches after a prefix."""
     for prefix in sorted(prefixes, key=lambda p: (len(p), tuple(map(str, p)))):
         branches = sorted(prefixes[prefix])
         for i, b1 in enumerate(branches):
             for b2 in branches[i + 1 :]:
-                u, v = b1.drop().letters, b2.drop().letters
-                if u.startswith(v) or v.startswith(u):
+                if clash(prefix, b1, b2):
                     return OracleResult(False, (prefix, b1, b2))
     return OracleResult(True, None)
+
+
+def _block_clash(_prefix, b1, b2) -> bool:
+    u, v = b1.drop().letters, b2.drop().letters
+    return u.startswith(v) or v.startswith(u)
 
 
 def _lookahead_oracle(prefixes: dict, k: int) -> OracleResult:
@@ -258,14 +261,9 @@ def _lookahead_oracle(prefixes: dict, k: int) -> OracleResult:
             memo[prefix] = frozenset(word for _, word in frontier)
         return memo[prefix]
 
-    for prefix in sorted(prefixes, key=lambda p: (len(p), tuple(map(str, p)))):
-        branches = sorted(prefixes[prefix])
-        for i, b1 in enumerate(branches):
-            for b2 in branches[i + 1 :]:
-                if b1.drop() != b2.drop():
-                    continue
-                d1 = dropped_extensions(prefix + (b1,))
-                d2 = dropped_extensions(prefix + (b2,))
-                if d1 & d2:
-                    return OracleResult(False, (prefix, b1, b2))
-    return OracleResult(True, None)
+    def clash(prefix, b1, b2) -> bool:
+        return b1.drop() == b2.drop() and bool(
+            dropped_extensions(prefix + (b1,)) & dropped_extensions(prefix + (b2,))
+        )
+
+    return _first_clash(prefixes, clash)

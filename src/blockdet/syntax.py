@@ -301,11 +301,13 @@ def is_trimmed(ast: RegexAst) -> bool:
 
 def mark(ast: RegexAst) -> MarkedExpression:
     """Index block occurrences 1..n left to right."""
-    if not is_trimmed(ast):
-        raise ValueError("expression is not trimmed: `empty` occurs as a subterm")
+    if isinstance(ast, Empty):
+        return MarkedExpression(ast, ())
     acc: list[Position] = []
 
     def leaf(node: RegexAst) -> RegexAst:
+        if isinstance(node, Empty):
+            raise ValueError("expression is not trimmed: `empty` occurs as a subterm")
         if not isinstance(node, Literal):
             return node
         if not isinstance(node.symbol, BlockSymbol):
@@ -344,13 +346,12 @@ def positions(marked: MarkedExpression | RegexAst) -> PositionTable:
     """Compute the position functions by structural induction."""
     ast = marked.ast if isinstance(marked, MarkedExpression) else marked
     follow: dict = {}
-    for sym in literal_symbols(ast):
-        if sym in follow:
-            raise ValueError(f"symbol occurs twice, input is not marked: {sym}")
-        follow[sym] = set()
 
     def leaf(node: RegexAst) -> tuple[bool, set, set]:
         if isinstance(node, Literal):
+            if node.symbol in follow:
+                raise ValueError(f"symbol occurs twice, input is not marked: {node.symbol}")
+            follow[node.symbol] = set()
             return False, {node.symbol}, {node.symbol}
         return isinstance(node, Epsilon), set(), set()
 

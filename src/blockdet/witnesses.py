@@ -24,15 +24,7 @@ from .determinism import (
     is_k_lookahead_deterministic_expression,
 )
 from .glushkov import glushkov
-from .syntax import (
-    BlockSymbol,
-    Concat,
-    Epsilon,
-    Literal,
-    RegexAst,
-    Star,
-    Union,
-)
+from .syntax import RegexAst, parse
 from .transform import eliminable, eliminate, eliminate_set
 
 FAMILIES = (
@@ -78,23 +70,6 @@ def build(spec: WitnessSpec) -> BlockAutomaton | RegexAst:
     return builder(spec.parameter)
 
 
-def _concat_all(parts: list[RegexAst]) -> RegexAst:
-    if not parts:
-        return Epsilon()
-    out = parts[0]
-    for part in parts[1:]:
-        out = Concat(out, part)
-    return out
-
-
-def _lit(letters: str) -> RegexAst:
-    return Literal(BlockSymbol(letters))
-
-
-def _letter_chain(letter: str, count: int) -> list[RegexAst]:
-    return [_lit(letter) for _ in range(count)]
-
-
 # --- the Han-Wood family: one language, shrinking block width -------------------
 
 
@@ -122,17 +97,13 @@ def hanwood_mk(k: int) -> BlockAutomaton:
 def hanwood_ek_expr(k: int) -> RegexAst:
     """([a^k])*([a^{k-1}b]b + ba)b*"""
     _check(k, 2)
-    body = Union(Concat(_lit("a" * (k - 1) + "b"), _lit("b")), Concat(_lit("b"), _lit("a")))
-    return Concat(Concat(Star(_lit("a" * k)), body), Star(_lit("b")))
+    return parse(f"[{'a' * k}]*([{'a' * (k - 1)}b]b+ba)b*")
 
 
 def hanwood_fk_expr(k: int) -> RegexAst:
     """(a^{k-1}([aa]a^{k-2})*([ab]a + bb) + ba)b*"""
     _check(k, 2)
-    loop = Star(_concat_all([_lit("aa")] + _letter_chain("a", k - 2)))
-    tail = Union(Concat(_lit("ab"), _lit("a")), Concat(_lit("b"), _lit("b")))
-    left = _concat_all(_letter_chain("a", k - 1) + [loop, tail])
-    return Concat(Union(left, Concat(_lit("b"), _lit("a"))), Star(_lit("b")))
+    return parse(f"({'a' * (k - 1)}([aa]{'a' * (k - 2)})*([ab]a+bb)+ba)b*")
 
 
 # --- the block-hierarchy family -----------------------------------------------
@@ -180,8 +151,7 @@ def block_bk(k: int) -> BlockAutomaton:
 def block_expr(k: int) -> RegexAst:
     """(a(eps+[b^{k-1}c]))*(eps+[b^k])"""
     _check(k, 1)
-    head = Star(Concat(_lit("a"), Union(Epsilon(), _lit("b" * (k - 1) + "c"))))
-    return Concat(head, Union(Epsilon(), _lit("b" * k)))
+    return parse(f"(a(eps+[{'b' * (k - 1)}c]))*(eps+[{'b' * k}])")
 
 
 def chain_elimination_states(k: int) -> set[str]:
@@ -222,10 +192,7 @@ def unary_aj(j: int) -> BlockAutomaton:
 def unary_ej_expr(j: int) -> RegexAst:
     """(a^{2j+1})*(eps + a^j)"""
     _check(j, 1)
-    return Concat(
-        Star(_concat_all(_letter_chain("a", 2 * j + 1))),
-        Union(Epsilon(), _concat_all(_letter_chain("a", j))),
-    )
+    return parse(f"({'a' * (2 * j + 1)})*(eps+{'a' * j})")
 
 
 # --- the state-elimination counter-example ----------------------------------------

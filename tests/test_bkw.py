@@ -1,16 +1,21 @@
 """Orbit analysis, the BKW decision procedure and the block certificate."""
 
+import random
+import string
+
 import pytest
 
 from blockdet import (
     BlockAutomaton,
     BlockSymbol,
+    alphabetic_image,
     bkw_test,
     bkw_to_json,
     certify_k_block_language,
     consistent_symbols,
     glushkov,
     is_deterministic,
+    is_k_block_deterministic,
     is_one_unambiguous,
     minimal_dfa,
     minimize,
@@ -20,10 +25,10 @@ from blockdet import (
     parse,
     s_cut,
 )
-from blockdet.bkw import block_abstraction, render_trace
+from blockdet.bkw import render_trace
 from blockdet.witnesses import block_ak, block_bk, hanwood_mk
 
-from conftest import glushkov_union_tail, min_dfa_two_block, rewired_counterexample
+from conftest import glushkov_union_tail, min_dfa_two_block, random_expression, rewired_counterexample
 
 
 class TestOrbitDecomposition:
@@ -306,10 +311,25 @@ class TestCertify:
     def test_width_overflow_fails(self):
         assert not certify_k_block_language(block_bk(3), 2)
 
-    def test_abstraction_is_deterministic_width1(self):
-        abstraction = block_abstraction(block_bk(3))
-        assert abstraction.width == 1
-        assert is_deterministic(abstraction)
+    def test_agrees_with_letter_image(self):
+        # The paper's certificate: k-block deterministic, and the image with
+        # each block renamed to a fresh letter is deterministic and passes BKW.
+        # Minimal DFAs add automata that are deterministic but fail BKW.
+        rng = random.Random(4242)
+        outcomes = set()
+        for _ in range(100):
+            expr = random_expression(rng, max_positions=6, max_width=3)
+            for a in (glushkov(expr).automaton, minimal_dfa(expr)):
+                blocks = sorted({t.label for t in a.transitions})
+                image = alphabetic_image(
+                    a, {b: BlockSymbol(c) for b, c in zip(blocks, string.ascii_letters)}
+                )
+                for k in (1, 2, 3):
+                    block = is_k_block_deterministic(a, k).verdict
+                    expected = block and is_deterministic(image) and bkw_test(image).verdict
+                    assert certify_k_block_language(a, k) == expected, (a, k)
+                    outcomes.add((block, expected))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 class TestTraceSerialization:

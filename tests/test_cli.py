@@ -170,6 +170,12 @@ class TestCertifyVerb:
         code, data = run_json(capsys, "certify", str(path), "-k", "2")
         assert code == 1 and data["certified"] is False
 
+    def test_more_blocks_than_letters(self, capsys):
+        # 66 distinct tags: more than the 62 alphanumeric letters.
+        tags = [f"[{x}{y}]" for x in "abcdefghijk" for y in "abcdef"]
+        code, data = run_json(capsys, "certify", "(" + "+".join(tags) + ")*", "-k", "2")
+        assert (code, data) == (0, {"k": 2, "certified": True})
+
 
 class TestChiVerb:
     def test_letter_expansion(self, capsys):

@@ -80,6 +80,30 @@ class TestKBlock:
         with pytest.raises(ValueError):
             is_k_block_deterministic(min_dfa_two_block(), 0)
 
+    def test_violations_are_all_prefix_pairs(self):
+        # The definition: every ordered pair of one state's transitions
+        # whose labels are equal or one a prefix of the other.
+        rng = random.Random(1977)
+        for _ in range(300):
+            a = _random_block_automaton(rng)
+            expected = tuple(
+                sorted(
+                    (t1, t2)
+                    for t1 in a.transitions
+                    for t2 in a.transitions
+                    if t1 < t2
+                    and t1.source == t2.source
+                    and (
+                        t1.label.letters.startswith(t2.label.letters)
+                        or t2.label.letters.startswith(t1.label.letters)
+                    )
+                )
+            )
+            for k in (1, 2, 3):
+                result = is_k_block_deterministic(a, k)
+                assert result.violations == expected, a
+                assert result.verdict == (a.width <= k and not expected)
+
 
 class TestKLookahead:
     def test_two_lookahead_example(self):
@@ -245,6 +269,20 @@ class TestReport:
         assert result.violations
         for t1, t2 in result.violations:
             assert t1.source == t2.source
+
+
+def _random_block_automaton(rng: random.Random) -> BlockAutomaton:
+    """Up to five states over blocks of {a,b} of width 1-3; a state may
+    carry one label towards several targets."""
+    states = [f"q{i}" for i in range(rng.randint(1, 5))]
+    transitions = [
+        (source, "".join(rng.choices("ab", k=rng.randint(1, 3))), rng.choice(states))
+        for source in states
+        for _ in range(rng.randint(0, 4))
+    ]
+    return BlockAutomaton.make(
+        states=states, initials={"q0"}, finals={states[-1]}, transitions=transitions
+    )
 
 
 def _literals(expr):

@@ -284,6 +284,7 @@ import json, sys
 from blockdet import (
     ast_from_json, ast_to_json, drop, glushkov, is_trimmed, mark, parse, positions, to_text, width,
 )
+from blockdet.determinism import marked_language_oracle
 from blockdet.syntax import language
 from blockdet.transform import chi
 sys.setrecursionlimit(120)
@@ -307,6 +308,7 @@ for text in json.loads(sys.argv[1]):
         "width": width(ast),
         "trimmed": is_trimmed(ast),
         "words": len(language(ast, 2)),
+        "oracle": marked_language_oracle("block", ast, 1, 2).verdict,
     }))
 """
 
@@ -315,18 +317,20 @@ def test_deep_inputs_need_no_recursion():
     n = 3000
     stars = "a" + "*" * n
     # text -> (rendering, [positions, nullable, |first|, |last|, |follow|],
-    #          [states, transitions], words of at most 2 symbols)
+    #          [states, transitions], words of at most 2 symbols,
+    #          1-block verdict of the marked-language oracle)
     cases = {
-        "+".join(["a"] * n): ("+".join(["a"] * n), [n, False, n, n, 0], [n + 1, n], 1),
-        "(" * n + "a" + ")" * n: ("a", [1, False, 1, 1, 0], [2, 1], 1),
+        "+".join(["a"] * n): ("+".join(["a"] * n), [n, False, n, n, 0], [n + 1, n], 1, False),
+        "(" * n + "a" + ")" * n: ("a", [1, False, 1, 1, 0], [2, 1], 1, True),
         "a(" * n + "a" + ")" * n: (
             "a(" * (n - 1) + "aa" + ")" * (n - 1),
             [n + 1, False, 1, 1, n],
             [n + 2, n + 1],
             0,
+            True,
         ),
-        stars: (stars, [1, True, 1, 1, 1], [2, 2], 3),
-        "(" * n + "a" + ")*" * n: (stars, [1, True, 1, 1, 1], [2, 2], 3),
+        stars: (stars, [1, True, 1, 1, 1], [2, 2], 3, True),
+        "(" * n + "a" + ")*" * n: (stars, [1, True, 1, 1, 1], [2, 2], 3, True),
     }
     src = str(Path(blockdet.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -341,7 +345,7 @@ def test_deep_inputs_need_no_recursion():
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.splitlines()
     assert len(lines) == len(cases)
-    for line, (text, table, automaton, words) in zip(lines, cases.values()):
+    for line, (text, table, automaton, words, oracle) in zip(lines, cases.values()):
         got = json.loads(line)
         assert got == {
             "text": text,
@@ -352,6 +356,7 @@ def test_deep_inputs_need_no_recursion():
             "width": 1,
             "trimmed": True,
             "words": words,
+            "oracle": oracle,
         }
 
 

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from .syntax import BlockSymbol
 
 
-@dataclass(frozen=True, order=True)
-class Transition:
+class Transition(NamedTuple):
+    """An edge; a tuple, so hashing, equality and ordering (source, then
+    label, then target) run in C."""
+
     source: str
     label: BlockSymbol
     target: str
@@ -54,7 +56,7 @@ class BlockAutomaton:
         alphabet: Iterable | None = None,
     ) -> "BlockAutomaton":
         """Build an automaton, coercing (source, label, target) triples."""
-        coerced = frozenset(_coerce_transition(t) for t in transitions)
+        coerced = frozenset(map(_coerce_transition, transitions))
         used = frozenset(t.label for t in coerced)
         if alphabet is None:
             full = used
@@ -176,6 +178,8 @@ def trim(a: BlockAutomaton) -> BlockAutomaton:
     forward = _reachable(out_edges(a), a.initials)
     backward = _reachable(in_edges(a), a.finals, reverse=True)
     keep = forward & backward
+    if len(keep) == len(a.states) and len({t.label for t in a.transitions}) == len(a.alphabet):
+        return a
     return BlockAutomaton.make(
         states=keep,
         initials=a.initials & keep,
@@ -253,12 +257,13 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
     if a.width <= 1:
         return a
     states = set(a.states)
-    transitions: list[tuple[str, str, str]] = []
+    transitions: list[Transition] = []
+    symbols: dict[str, BlockSymbol] = {}
     counter = 0
     for t in a.sorted_transitions():
         letters = t.label.letters
         if len(letters) == 1:
-            transitions.append((t.source, letters, t.target))
+            transitions.append(t)
             continue
         previous = t.source
         for offset, letter in enumerate(letters):
@@ -269,7 +274,9 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
                 nxt = fresh_name(states, f"@{counter}")
                 counter += 1
                 states.add(nxt)
-            transitions.append((previous, letter, nxt))
+            if letter not in symbols:
+                symbols[letter] = BlockSymbol(letter)
+            transitions.append(Transition(previous, symbols[letter], nxt))
             previous = nxt
     return BlockAutomaton.make(
         states=states,
@@ -302,7 +309,6 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
     if not a.initials:
         return EMPTY_AUTOMATON
     edges = out_edges(a)
-    letters = sorted(a.alphabet)
     start = frozenset(a.initials)
     subsets = [start]
     seen = {start}
@@ -310,12 +316,12 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
     agenda = deque([start])
     while agenda:
         subset = agenda.popleft()
-        for letter in letters:
-            targets = frozenset(
-                t.target for q in subset for t in edges[q] if t.label == letter
-            )
-            if not targets:
-                continue
+        by_label: dict = {}
+        for q in subset:
+            for t in edges[q]:
+                by_label.setdefault(t.label, []).append(t.target)
+        for letter in sorted(by_label):
+            targets = frozenset(by_label[letter])
             moves.append((subset, letter, targets))
             if targets not in seen:
                 seen.add(targets)
@@ -326,7 +332,7 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
         states=[names[s] for s in subsets],
         initials=[names[start]],
         finals=[names[s] for s in subsets if s & a.finals],
-        transitions=[(names[s], letter, names[t]) for s, letter, t in moves],
+        transitions=[Transition(names[s], letter, names[t]) for s, letter, t in moves],
     )
     return trim(det)
 
@@ -350,36 +356,46 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
     Missing transitions are kept missing, so they distinguish states from
     looping ones; the result is the unique minimal trimmed partial DFA.
     """
+    return _minimize(a)[0]
+
+
+def _minimize(a: BlockAutomaton) -> tuple[BlockAutomaton, dict]:
+    """`minimize`, plus the map from each state kept by trimming to its
+    state in the result.  Refinement never looks at the initial states."""
     if not is_deterministic(a) and a.states:
         raise ValueError("minimize expects a deterministic automaton")
     a = trim(a)
     if not a.states:
-        return a
+        return a, {}
     edges = out_edges(a)
-    block_of = {q: (q in a.finals) for q in a.states}
+    order = sorted(a.states)
+    block_of = {q: (q in a.finals) for q in order}
     while True:
-        signature = {
-            q: (block_of[q], frozenset((t.label, block_of[t.target]) for t in edges[q]))
-            for q in a.states
-        }
         fresh_ids: dict = {}
-        for q in sorted(a.states):
-            fresh_ids.setdefault(signature[q], len(fresh_ids))
-        refined = {q: fresh_ids[signature[q]] for q in a.states}
+        refined = {}
+        for q in order:
+            signature = (
+                block_of[q], frozenset((t.label, block_of[t.target]) for t in edges[q])
+            )
+            refined[q] = fresh_ids.setdefault(signature, len(fresh_ids))
         if len(set(refined.values())) == len(set(block_of.values())):
             break
         block_of = refined
-    groups: dict[int, set] = {}
-    for q in a.states:
-        groups.setdefault(block_of[q], set()).add(q)
-    names = _name_groups([frozenset(g) for g in groups.values()])
-    rename = {q: names[frozenset(groups[block_of[q]])] for q in a.states}
-    return BlockAutomaton.make(
-        states=set(rename.values()),
+    groups: dict[int, list] = {}
+    for q in order:  # sorted, so that primed names do not follow the hash seed
+        groups.setdefault(block_of[q], []).append(q)
+    frozen = [frozenset(g) for g in groups.values()]
+    names = _name_groups(frozen)
+    rename = {q: names[group] for group in frozen for q in group}
+    minimal = BlockAutomaton.make(
+        states=names.values(),
         initials={rename[q] for q in a.initials},
         finals={rename[q] for q in a.finals},
-        transitions={(rename[t.source], t.label, rename[t.target]) for t in a.transitions},
+        transitions={
+            Transition(rename[t.source], t.label, rename[t.target]) for t in a.transitions
+        },
     )
+    return minimal, rename
 
 
 # --- isomorphism and equivalence --------------------------------------------------

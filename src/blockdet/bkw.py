@@ -3,11 +3,12 @@ alphabetic-image certificate for k-block deterministic languages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .automaton import (
     BlockAutomaton,
+    _minimize,
     determinize,
     expand_blocks,
     in_edges,
@@ -288,10 +289,20 @@ def _bkw_node(a: BlockAutomaton, context: str | None) -> BkwNode:
     children = []
     for orbit in decomposition.nontrivial():
         label = "{" + ",".join(sorted(orbit.states)) + "}"
-        inside = _inside(orbit, edges)
-        for q in sorted(orbit.states):
-            sub = minimize(_orbit_automaton(orbit, inside, q))
-            children.append(_bkw_node(sub, f"orbit {label} from {q}, minimized"))
+        # An orbit is strongly connected, so trimming keeps the same states
+        # from every start, and refinement ignores the start: minimize once,
+        # then re-root.  States with one minimized state share one subtree.
+        states = sorted(orbit.states)
+        sub, rename = _minimize(_orbit_automaton(orbit, _inside(orbit, edges), states[0]))
+        done: dict = {}
+        for q in states:
+            where = f"orbit {label} from {q}, minimized"
+            root = rename[q]
+            if root in done:
+                children.append(replace(done[root], context=where))
+            else:
+                done[root] = _bkw_node(replace(sub, initials=frozenset({root})), where)
+                children.append(done[root])
     failure = None if all(child.ok for child in children) else "recursion"
     return BkwNode(
         fingerprint,

@@ -24,30 +24,46 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
-class BlockSymbol:
-    """A literal/transition label: a non-empty word over the base alphabet."""
+class BlockSymbol(str):
+    """A literal/transition label: a non-empty word over the base alphabet.
 
-    letters: str
+    A `str` subclass, so hashing, equality and ordering are those of its
+    letters and run in C; ``BlockSymbol("ab") == "ab"``.  ``str()`` and
+    f-strings give the pretty form (``[ab]``), ``letters`` the plain word.
+    """
 
-    def __post_init__(self):
-        if not self.letters:
+    __slots__ = ()
+
+    def __new__(cls, letters: str) -> "BlockSymbol":
+        if not letters:
             raise ValueError("a block needs at least one letter")
-        if not self.letters.isalnum():
-            raise ValueError(f"block letters must be alphanumeric: {self.letters!r}")
+        if not letters.isalnum():
+            raise ValueError(f"block letters must be alphanumeric: {letters!r}")
+        return super().__new__(cls, letters)
+
+    @property
+    def letters(self) -> str:
+        return str.__str__(self)
 
     @property
     def width(self) -> int:
-        return len(self.letters)
+        return len(self)
 
     def drop(self) -> "BlockSymbol":
         return self
 
     def pretty(self) -> str:
-        return self.letters if len(self.letters) == 1 else f"[{self.letters}]"
+        letters = self.letters
+        return letters if len(letters) == 1 else f"[{letters}]"
 
     def __str__(self) -> str:
         return self.pretty()
+
+    def __format__(self, spec: str) -> str:
+        return format(self.pretty(), spec)
+
+    def __repr__(self) -> str:
+        return f"BlockSymbol({str.__repr__(self)})"
 
 
 @dataclass(frozen=True, order=True)

@@ -1,10 +1,14 @@
 """Core automaton algebra: acceptance, trim, standardize, expansion,
 determinization, minimization, isomorphism, equivalence, enumeration."""
 
+import random
+
 import pytest
 
 from blockdet import (
     BlockAutomaton,
+    BlockSymbol,
+    Transition,
     accepts,
     determinize,
     enumerate_words,
@@ -72,7 +76,20 @@ class TestTrim:
 
     def test_idempotent(self, corpus_automata):
         for a in corpus_automata:
-            assert trim(trim(a)) == trim(a)
+            once = trim(a)
+            assert trim(once) is once
+
+    def test_unused_letters_dropped(self):
+        a = BlockAutomaton.make(
+            states={"i"},
+            initials={"i"},
+            finals={"i"},
+            transitions=[("i", "a", "i")],
+            alphabet="ab",
+        )
+        once = trim(a)
+        assert once.alphabet == frozenset({"a"})
+        assert trim(once) is once
 
 
 class TestStandardize:
@@ -165,6 +182,31 @@ class TestDeterminize:
         with pytest.raises(ValueError):
             determinize(glushkov_two_block())
 
+    def test_matches_per_letter_subset_construction(self):
+        # Seeded random NFAs with up to 8 letters, some of them unused, and
+        # up to three initial states, against the textbook construction.
+        rng = random.Random(1805)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            # "{q0,q1}" as a state name makes subset names collide, so that
+            # the order subsets are found in decides which one is primed.
+            states = [f"q{i}" for i in range(n)] + ["{q0,q1}", "{q0,q2}"][: rng.randint(0, 2)]
+            alphabet = rng.sample("abcdefgh", rng.randint(1, 8))
+            used = alphabet[: rng.randint(1, len(alphabet))]
+            nfa = BlockAutomaton.make(
+                states=states,
+                initials=rng.sample(states, rng.randint(1, min(3, len(states)))),
+                finals=[q for q in states if rng.random() < 0.3],
+                transitions=[
+                    (rng.choice(states), rng.choice(used), rng.choice(states))
+                    for _ in range(rng.randint(0, 3 * len(states)))
+                ],
+                alphabet=alphabet,
+            )
+            dfa = determinize(nfa)
+            got = (dfa.states, dfa.transitions, dfa.initials, dfa.finals)
+            assert got == _per_letter_subsets(nfa)
+
 
 class TestMinimize:
     def test_already_minimal_fixed_point(self):
@@ -185,6 +227,29 @@ class TestMinimize:
         g = glushkov(parse("(aaaaa)*(eps+aa)")).automaton
         out = minimize(determinize(expand_blocks(g)))
         assert len(out.states) == 5
+
+    def test_colliding_group_name_is_primed_in_state_order(self):
+        # x and y merge into a group named {x,y}, which a state already has:
+        # the group with the least member keeps the bare name, whatever the
+        # hash seed.
+        a = BlockAutomaton.make(
+            states=["s", "x", "y", "{x,y}"],
+            initials=["s"],
+            finals=["x", "y", "{x,y}"],
+            transitions=[
+                ("s", "a", "x"),
+                ("s", "b", "y"),
+                ("s", "c", "{x,y}"),
+                ("x", "a", "x"),
+                ("y", "a", "y"),
+            ],
+        )
+        assert {str(t) for t in minimize(a).transitions} == {
+            "s -a-> {x,y}",
+            "s -b-> {x,y}",
+            "s -c-> {x,y}'",
+            "{x,y} -a-> {x,y}",
+        }
 
     def test_nondeterministic_rejected(self):
         with pytest.raises(ValueError):
@@ -318,10 +383,43 @@ class TestValidation:
         assert {b.letters for b in a.alphabet} == {"ab"}
 
 
+class TestValueTypes:
+    """Labels are `str` and transitions tuples, so that hashing, equality and
+    ordering run in C; what they print and how they sort stays."""
+
+    def test_block_symbol_validation_messages(self):
+        with pytest.raises(ValueError, match="^a block needs at least one letter$"):
+            BlockSymbol("")
+        with pytest.raises(ValueError, match="^block letters must be alphanumeric: 'a-b'$"):
+            BlockSymbol("a-b")
+
+    def test_block_symbol_text(self):
+        one, two = BlockSymbol("a"), BlockSymbol("ab")
+        assert type(two.letters) is str and two.letters == "ab"
+        assert (one.width, two.width) == (1, 2)
+        assert (one.pretty(), two.pretty()) == ("a", "[ab]")
+        assert (str(one), str(two), f"{two}") == ("a", "[ab]", "[ab]")
+        assert two == "ab" and hash(two) == hash("ab")
+
+    def test_transition_order_and_text(self):
+        rng = random.Random(77)
+        labels = [BlockSymbol(b) for b in ("a", "ab", "b", "ba")]
+        ts = [
+            Transition(rng.choice("pqr"), rng.choice(labels), rng.choice("pqr"))
+            for _ in range(200)
+        ]
+        assert sorted(ts) == sorted(ts, key=lambda t: (t.source, t.label.letters, t.target))
+        assert str(Transition("p", BlockSymbol("ab"), "q")) == "p -ab-> q"
+        assert Transition("p", BlockSymbol("ab"), "q") == ("p", "ab", "q")
+
+
 class TestSerialization:
     def test_json_round_trip(self, corpus_automata):
         for a in corpus_automata:
-            assert from_json(to_json(a)) == a
+            back = from_json(to_json(a))
+            assert back == a
+            assert all(type(b) is BlockSymbol for b in back.alphabet)
+            assert all(type(t) is Transition for t in back.transitions)
 
     def test_json_is_sorted_and_plain(self):
         data = to_json(glushkov_two_block())
@@ -339,6 +437,48 @@ class TestSerialization:
         assert '"4" [shape=doublecircle];' in dot
         assert '"i" -> "1" [label="a"];' in dot
         assert "__start0" in dot
+
+
+def _per_letter_subsets(a):
+    """States, transitions, initials and finals of the trimmed subset
+    automaton, one scan of every transition per subset and letter."""
+    start = frozenset(a.initials)
+    subsets, moves = [start], []
+    for subset in subsets:  # grows while it is read: breadth-first order
+        for letter in sorted(a.alphabet):
+            targets = frozenset(
+                t.target for t in a.transitions if t.source in subset and t.label == letter
+            )
+            if targets:
+                moves.append((subset, letter, targets))
+                if targets not in subsets:
+                    subsets.append(targets)
+    names, taken = {}, set()
+    for s in subsets:
+        members = sorted(s)
+        name = members[0] if len(members) == 1 else "{" + ",".join(members) + "}"
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        names[s] = name
+    alive = {s for s in subsets if s & a.finals}
+    grew = True
+    while grew:
+        grew = False
+        for s, _, t in moves:
+            if t in alive and s not in alive:
+                alive.add(s)
+                grew = True
+    return (
+        frozenset(names[s] for s in alive),
+        frozenset(
+            Transition(names[s], letter, names[t])
+            for s, letter, t in moves
+            if s in alive and t in alive
+        ),
+        frozenset([names[start]] if start in alive else []),
+        frozenset(names[s] for s in alive if s & a.finals),
+    )
 
 
 def _right_language(a, state, maxlen):

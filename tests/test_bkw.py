@@ -1,10 +1,13 @@
 """Orbit analysis, the BKW decision procedure and the block certificate."""
 
+import itertools
 import random
 import string
+from dataclasses import replace
 
 import pytest
 
+from blockdet import bkw as bkw_module
 from blockdet import (
     BlockAutomaton,
     BlockSymbol,
@@ -278,6 +281,75 @@ class TestBkwTest:
         assert "no-consistent-symbol" in failures
 
 
+class TestOrbitReRooting:
+    """BKW minimizes one orbit automaton per orbit and re-roots it at each
+    orbit state: from every state of a strongly connected orbit, trimming
+    keeps the same states, and refinement never looks at the start."""
+
+    def test_orbit_automata_differ_only_in_initials(self):
+        rng = random.Random(2718)
+        orbits = shared = 0
+        for _ in range(150):
+            for m in (minimal_dfa(random_expression(rng, 6, 2)), _random_minimal_dfa(rng)):
+                for a in (m, s_cut(m, consistent_symbols(m))):
+                    for orbit in orbit_decomposition(a).nontrivial():
+                        starts = sorted(orbit.states)
+                        minimized = [minimize(orbit_automaton(a, q)) for q in starts]
+                        assert len({replace(x, initials=frozenset()) for x in minimized}) == 1
+                        roots = [x.initials for x in minimized]
+                        assert all(len(root) == 1 for root in roots)
+                        orbits += len(starts) > 1
+                        shared += len(set(roots)) < len(roots)
+        assert orbits > 50 and shared > 0
+
+    def test_children_match_per_state_minimize(self):
+        rng = random.Random(31)
+        checked = rooted = 0
+        for _ in range(150):
+            m = _random_minimal_dfa(rng)
+            root = bkw_test(m).steps
+            if root.orbit_property_holds is not True:
+                continue
+            cut = s_cut(m, consistent_symbols(m))
+            children = iter(root.children)
+            for orbit in orbit_decomposition(cut).nontrivial():
+                subtrees = set()
+                for q in sorted(orbit.states):
+                    child = next(children)
+                    sub = minimize(orbit_automaton(cut, q))
+                    assert child == bkw_module._bkw_node(sub, child.context)
+                    subtrees.add(replace(child, context=None))
+                    checked += 1
+                rooted += len(subtrees) > 1  # the start state shows in the subtree
+            assert next(children, None) is None
+        assert checked > 50 and rooted > 0
+
+    def test_one_minimize_per_orbit(self, monkeypatch):
+        # 63 three-letter tags: one orbit of 63 states whose orbit automata
+        # all minimize to one state.  Minimizing per orbit state made 63 calls.
+        tags = ["".join(p) for p in itertools.product("abcd", repeat=3)][:63]
+        a = glushkov(parse("(" + "+".join(f"[{t}]" for t in tags) + ")*[zz]")).automaton
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        real = bkw_module._minimize
+        monkeypatch.setattr(bkw_module, "_minimize", counting)
+        assert certify_k_block_language(a, 3)
+        assert len(calls) == 1
+        orbit = sorted(a.states - {"i", "zz_64"})
+        label = "{" + ",".join(orbit) + "}"
+        calls.clear()
+        children = bkw_test(a).steps.children
+        assert len(calls) == 1
+        assert [c.context for c in children] == [
+            f"orbit {label} from {q}, minimized" for q in orbit
+        ]
+        assert {c.fingerprint for c in children} == {"1 states, 63 transitions"}
+
+
 class TestIsOneUnambiguous:
     def test_union_tail_language(self):
         assert is_one_unambiguous(parse("(a+b)*a+eps"))
@@ -356,6 +428,19 @@ class TestTraceSerialization:
         text = render_trace(bkw_test(min_dfa_two_block()))
         assert "verdict: fail" in text
         assert "orbit property" in text
+
+
+def _random_minimal_dfa(rng):
+    states = [f"s{i}" for i in range(rng.randint(2, 7))]
+    dfa = BlockAutomaton.make(
+        states=states,
+        initials={"s0"},
+        finals=[q for q in states if rng.random() < 0.4] or ["s0"],
+        transitions=[
+            (q, c, rng.choice(states)) for q in states for c in "abc" if rng.random() < 0.7
+        ],
+    )
+    return minimize(dfa)
 
 
 def _collect_failures(node):

@@ -1,14 +1,25 @@
 """Command-line behaviour: verbs, exit codes, formats, and composition."""
 
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import blockdet
-from blockdet import BlockAutomaton, determinize, from_json, isomorphic, minimal_dfa, parse, to_json
+from blockdet import (
+    BlockAutomaton,
+    determinize,
+    from_json,
+    glushkov,
+    isomorphic,
+    minimal_dfa,
+    parse,
+    to_json,
+)
 from blockdet.cli import main
 from blockdet.witnesses import block_bk, hanwood_mk
 
@@ -324,14 +335,29 @@ class TestHashSeedIndependence:
     def test_output_does_not_depend_on_hash_seed(self, tmp_path):
         # Automata are frozensets, so iteration order follows the hash seed;
         # output must not.
+        tags = ["".join(p) for p in itertools.product("abcd", repeat=3)][:63]
+        tag_group = "(" + "+".join(f"[{t}]" for t in tags) + ")*[zz]"
+        rng = random.Random(8)
+        states = [f"q{i}" for i in range(6)]
+        wide = BlockAutomaton.make(
+            states=states,
+            initials={"q0", "q2", "q3"},
+            finals={"q1", "q4"},
+            transitions=[
+                (rng.choice(states), rng.choice("abcdefg"), rng.choice(states)) for _ in range(30)
+            ],
+            alphabet="abcdefgh",
+        )
         files = {
             "nfa": glushkov_two_lookahead(),
             "dfa": determinize(glushkov_two_lookahead()),
             "blocks": glushkov_two_block(),
+            "tags": glushkov(parse(tag_group)).automaton,
+            "wide": wide,
         }
         for name, a in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(to_json(a)))
-        nfa, dfa, blocks = (str(tmp_path / f"{name}.json") for name in files)
+        nfa, dfa, blocks, tag_file, wide_file = (str(tmp_path / f"{name}.json") for name in files)
         recursing = "(c+[ba])*+([cca]*[cb])*"
         corpus = [
             ["bkw", recursing],
@@ -342,7 +368,14 @@ class TestHashSeedIndependence:
             ["expand", blocks],
             ["eliminate", nfa, "-q", "a_2"],
             ["check", "block", "-k", "1", "(a+ab+b)*a(a+b)"],
+            # 63 orbit states that minimize to one shared state
+            ["certify", "-k", "3", tag_group],
+            ["bkw", tag_file],
+            ["--text", "bkw", tag_file],
+            ["det", wide_file],
         ]
         first = _run_corpus(corpus, 0)
         assert "orbit {cca_3," in first and '"violations": [\n      [' in first
+        assert first.count("minimized: 1 states, 63 transitions") == 63
+        assert '"from": "{q0,q2,q3}"' in first
         assert _run_corpus(corpus, 1) == first

@@ -8,6 +8,7 @@ from .automaton import (
     Transition,
     accepts,
     determinize,
+    distinguishing_word,
     enumerate_words,
     equivalent,
     expand_blocks,

@@ -316,12 +316,9 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
     agenda = deque([start])
     while agenda:
         subset = agenda.popleft()
-        by_label: dict = {}
-        for q in subset:
-            for t in edges[q]:
-                by_label.setdefault(t.label, []).append(t.target)
-        for letter in sorted(by_label):
-            targets = frozenset(by_label[letter])
+        steps = _subset_steps(edges, subset)
+        for letter in sorted(steps):
+            targets = steps[letter]
             moves.append((subset, letter, targets))
             if targets not in seen:
                 seen.add(targets)
@@ -335,6 +332,15 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
         transitions=[Transition(names[s], letter, names[t]) for s, letter, t in moves],
     )
     return trim(det)
+
+
+def _subset_steps(edges: dict, subset: Iterable[str]) -> dict:
+    """Map each label leaving the subset to the frozenset of its targets."""
+    by_label: dict = {}
+    for q in subset:
+        for t in edges[q]:
+            by_label.setdefault(t.label, []).append(t.target)
+    return {label: frozenset(targets) for label, targets in by_label.items()}
 
 
 def _name_groups(groups: Iterable[frozenset]) -> dict:
@@ -434,10 +440,66 @@ def _canonical(a: BlockAutomaton):
 
 def equivalent(a: BlockAutomaton, b: BlockAutomaton) -> bool:
     """Language equality over the base alphabet."""
-    return isomorphic(
-        minimize(determinize(expand_blocks(a))),
-        minimize(determinize(expand_blocks(b))),
-    )
+    return distinguishing_word(a, b) is None
+
+
+_NO_STATES: frozenset = frozenset()
+
+
+def distinguishing_word(a: BlockAutomaton, b: BlockAutomaton) -> str | None:
+    """A shortest word over the base alphabet that exactly one of the two
+    automata accepts, or None when their languages are equal.
+
+    Hopcroft and Karp's equivalence test on lazily built subsets of both
+    expanded automata: a breadth-first walk over pairs of subsets, letters
+    in sorted order, with the empty subset standing for the missing sink.
+    A union-find over the subsets of both sides skips every pair already
+    known to be equal; a pair that is not equal is distinguished no later
+    than the pairs it is chained to, so the walk still meets a shortest
+    word first.  Queued pairs link to their parent and letter, and only
+    the answer is spelled out.
+    """
+    left, right = expand_blocks(a), expand_blocks(b)
+    left_edges, right_edges = out_edges(left), out_edges(right)
+    leader: dict = {}
+
+    def find(node):
+        root = node
+        while leader.get(root, root) != root:
+            root = leader[root]
+        while node != root:
+            leader[node], node = root, leader[node]
+        return root
+
+    def merge(x: frozenset, y: frozenset) -> bool:
+        """Join the classes of x (left) and y (right); False if one already."""
+        rx, ry = find((0, x)), find((1, y))
+        if rx == ry:
+            return False
+        leader[rx] = ry
+        return True
+
+    # A queued pair is (left subset, right subset, parent pair, letter).
+    start = (frozenset(left.initials), frozenset(right.initials), None, "")
+    merge(start[0], start[1])
+    agenda = deque([start])
+    while agenda:
+        pair = agenda.popleft()
+        x, y = pair[0], pair[1]
+        if left.finals.isdisjoint(x) != right.finals.isdisjoint(y):
+            letters = []
+            while pair[2] is not None:
+                letters.append(pair[3])
+                pair = pair[2]
+            return "".join(reversed(letters))
+        x_steps = _subset_steps(left_edges, x)
+        y_steps = _subset_steps(right_edges, y)
+        for label in sorted(x_steps.keys() | y_steps.keys()):
+            x_next = x_steps.get(label, _NO_STATES)
+            y_next = y_steps.get(label, _NO_STATES)
+            if merge(x_next, y_next):
+                agenda.append((x_next, y_next, pair, label.letters))
+    return None
 
 
 # --- serialization -----------------------------------------------------------------

@@ -52,10 +52,50 @@ def _emit(payload, fmt: str, a: au.BlockAutomaton | None = None, text: str | Non
         if a is None:
             raise CliError("--dot applies only to commands that output an automaton")
         print(au.to_dot(a))
-    elif fmt == "text":
-        print(text if text is not None else json.dumps(payload, indent=2, ensure_ascii=False))
+    elif fmt == "text" and text is not None:
+        print(text)
     else:
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        print(_json_text(payload))
+
+
+_encode_leaf = json.JSONEncoder(ensure_ascii=False).encode
+_END = object()
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, ensure_ascii=False)``, written from an
+    explicit stack: the standard encoder recurses once per nesting level, so
+    it refuses an AST nested about a thousand levels deep."""
+    parts: list[str] = []
+    # One frame per open non-empty container: its remaining items, its
+    # closing bracket and the separator before its next item.
+    frames: list[list] = []
+    value = payload
+    while True:
+        if isinstance(value, dict) and value:
+            parts.append("{")
+            frames.append([iter(value.items()), "}", "\n"])
+        elif isinstance(value, (list, tuple)) and value:
+            parts.append("[")
+            frames.append([iter(value), "]", "\n"])
+        else:
+            parts.append(_encode_leaf(value))
+        while frames:
+            frame = frames[-1]
+            item = next(frame[0], _END)
+            if item is not _END:
+                break
+            frames.pop()
+            parts.append("\n" + "  " * len(frames) + frame[1])
+        else:
+            return "".join(parts)
+        parts.append(frame[2] + "  " * len(frames))
+        frame[2] = ",\n"
+        if frame[1] == "}":
+            key, value = item
+            parts.append(_encode_leaf(key) + ": ")
+        else:
+            value = item
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,9 +201,16 @@ def _run(args) -> int:
     if args.verb == "equiv":
         left = _as_automaton(_read_input(args.left))
         right = _as_automaton(_read_input(args.right))
-        verdict = au.equivalent(left, right)
-        _emit({"equivalent": verdict}, fmt, text=f"equivalent: {verdict}")
-        return 0 if verdict else 1
+        word = au.distinguishing_word(left, right)
+        if word is None:
+            _emit({"equivalent": True}, fmt, text="equivalent: True")
+            return 0
+        _emit(
+            {"equivalent": False, "counterexample": word},
+            fmt,
+            text=f"equivalent: False\ncounterexample: {_encode_leaf(word)}",
+        )
+        return 1
 
     if args.verb == "check":
         return _run_check(args, fmt)

@@ -1,6 +1,7 @@
 """Core automaton algebra: acceptance, trim, standardize, expansion,
 determinization, minimization, isomorphism, equivalence, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from blockdet import (
     Transition,
     accepts,
     determinize,
+    distinguishing_word,
     enumerate_words,
     equivalent,
     expand_blocks,
@@ -25,8 +27,10 @@ from blockdet import (
     to_json,
     trim,
 )
+from blockdet import automaton, witnesses
+from blockdet.automaton import EMPTY_AUTOMATON
 from blockdet.syntax import base_language
-from blockdet.witnesses import block_ak, block_bk, counterexample_fig7, hanwood_mk, unary_aj
+from blockdet.witnesses import WitnessSpec, block_ak, block_bk, counterexample_fig7, hanwood_mk, unary_aj
 
 from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, standardized_counterexample
 
@@ -324,6 +328,67 @@ class TestEquivalent:
                     if equivalent(a, b) and equivalent(b, c):
                         assert equivalent(a, c)
 
+    def test_agrees_with_minimal_dfa_referee(self):
+        rng = random.Random(6)
+        outcomes = {True: 0, False: 0}
+        lengths = set()
+        for n in range(1000):
+            a = _random_block_automaton(rng)
+            kind = n % 5
+            if kind == 0:
+                b = _same_language_copy(rng, a)
+            elif kind in (1, 2):
+                b = _mutated(rng, _same_language_copy(rng, a))
+            elif kind == 3:
+                b = _random_block_automaton(rng)
+            else:
+                b = EMPTY_AUTOMATON
+            if rng.random() < 0.5:
+                a, b = b, a
+            word = distinguishing_word(a, b)
+            same = _referee_equivalent(a, b)
+            assert equivalent(a, b) == same == (word is None)
+            outcomes[same] += 1
+            if same:
+                assert enumerate_words(a, 4) == enumerate_words(b, 4)
+                continue
+            assert accepts(a, word) != accepts(b, word)
+            lengths.add(len(word))
+            # The first length at which the two languages differ.
+            words = [enumerate_words(x, len(word)) for x in (a, b)]
+            shorter = [[w for w in ws if len(w) < len(word)] for ws in words]
+            assert shorter[0] == shorter[1] and words[0] != words[1]
+        assert min(outcomes.values()) > 250
+        assert {0, 1, 2, 3} <= lengths
+
+    def test_no_determinize_minimize_or_canonical(self, monkeypatch):
+        g = glushkov(parse("(x+y)*x" + "(x+y)" * 10)).automaton
+        m = minimize(determinize(g))
+        calls = []
+        for name in ("_minimize", "determinize", "_canonical"):
+            real = getattr(automaton, name)
+
+            def counting(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(automaton, name, counting)
+        assert equivalent(g, m)
+        assert calls == []
+        per_claim = []
+        real_equivalent = witnesses.equivalent
+
+        def equivalent_counted(a, b):
+            before = len(calls)
+            verdict = real_equivalent(a, b)
+            per_claim.append(len(calls) - before)
+            return verdict
+
+        monkeypatch.setattr(witnesses, "equivalent", equivalent_counted)
+        assert witnesses.verify(WitnessSpec("hanwood_Mk", 6)).passed
+        assert per_claim == [0, 0]
+        assert set(calls) == {"_minimize", "_canonical"}  # the minimality claim
+
 
 class TestEnumerate:
     def test_block_ak_words(self):
@@ -486,3 +551,77 @@ def _right_language(a, state, maxlen):
         states=a.states, initials={state}, finals=a.finals, transitions=a.transitions
     )
     return enumerate_words(probe, maxlen)
+
+
+def _random_block_automaton(rng):
+    """Up to 5 states over up to 3 letters, labels of width 1-2, 0-3
+    initials, and sometimes an alphabet letter no transition uses."""
+    states = [f"q{i}" for i in range(rng.randint(1, 5))]
+    letters = "abc"[: rng.randint(1, 3)]
+    labels = list(letters)
+    if rng.random() < 0.5:
+        labels += ["".join(p) for p in itertools.product(letters, repeat=2)]
+    transitions = [
+        (rng.choice(states), rng.choice(labels), rng.choice(states))
+        for _ in range(rng.randint(0, 2 * len(states) + 1))
+    ]
+    return BlockAutomaton.make(
+        states=states,
+        initials=rng.sample(states, rng.randint(0, min(3, len(states)))),
+        finals=rng.sample(states, rng.randint(0, len(states))),
+        transitions=transitions,
+        alphabet=letters + "d" if rng.random() < 0.3 else None,
+    )
+
+
+def _same_language_copy(rng, a):
+    """Rename every state, then split one: the copy `s'` has the same
+    out-transitions and finality, and takes over some of the in-transitions
+    and the initial mark at random."""
+    name = {q: f"p{q}" for q in a.states}
+    if not a.states:
+        return a
+    split = name[rng.choice(sorted(a.states))]
+    twin = split + "'"
+
+    def retarget(q):
+        return twin if q == split and rng.random() < 0.5 else q
+
+    transitions = []
+    for t in a.sorted_transitions():
+        source, target = name[t.source], retarget(name[t.target])
+        transitions.append((source, t.label, target))
+        if source == split:
+            transitions.append((twin, t.label, target))
+    finals = {name[q] for q in a.finals}
+    return BlockAutomaton.make(
+        states=[*name.values(), twin],
+        initials={retarget(name[q]) for q in sorted(a.initials)},
+        finals=finals | ({twin} if split in finals else set()),
+        transitions=transitions,
+    )
+
+
+def _mutated(rng, a):
+    """Toggle one final state, or drop or add one transition."""
+    states = sorted(a.states)
+    transitions = a.sorted_transitions()
+    finals = set(a.finals)
+    change = rng.randrange(3)
+    if change == 0 or not states:
+        if states:
+            finals ^= {rng.choice(states)}
+    elif change == 1 and transitions:
+        transitions.remove(rng.choice(transitions))
+    else:
+        transitions.append((rng.choice(states), rng.choice("ab"), rng.choice(states)))
+    return BlockAutomaton.make(
+        states=states, initials=a.initials, finals=finals, transitions=transitions
+    )
+
+
+def _referee_equivalent(a, b):
+    """Equivalence through both minimal DFAs."""
+    return isomorphic(
+        minimize(determinize(expand_blocks(a))), minimize(determinize(expand_blocks(b)))
+    )

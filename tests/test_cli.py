@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import blockdet
 from blockdet import (
     BlockAutomaton,
+    ast_to_json,
     determinize,
     from_json,
     glushkov,
@@ -20,7 +23,7 @@ from blockdet import (
     parse,
     to_json,
 )
-from blockdet.cli import main
+from blockdet.cli import _json_text, main
 from blockdet.witnesses import block_bk, hanwood_mk
 
 from conftest import glushkov_two_block, glushkov_two_lookahead, min_dfa_two_block
@@ -255,7 +258,23 @@ class TestEquivVerb:
     def test_inequivalent_exit_code(self, capsys):
         code, data = run_json(capsys, "equiv", "a", "b")
         assert code == 1
-        assert data["equivalent"] is False
+        assert data == {"equivalent": False, "counterexample": "a"}
+
+    def test_counterexample_is_shortest(self, capsys):
+        # The languages first differ at length 3: bbb is in the right one only.
+        code, data = run_json(capsys, "equiv", "(a+b)*a(a+b)", "(a+b)*a(a+b)+bbb")
+        assert code == 1
+        assert data["counterexample"] == "bbb"
+        code, data = run_json(capsys, "equiv", "eps+a", "a")
+        assert data == {"equivalent": False, "counterexample": ""}
+
+    def test_text_output(self, capsys):
+        assert run(capsys, "--text", "equiv", "a*", "[aa]*") == (
+            1,
+            'equivalent: False\ncounterexample: "a"\n',
+            "",
+        )
+        assert run(capsys, "--text", "equiv", "[aa]*", "(aa)*") == (0, "equivalent: True\n", "")
 
 
 class TestErrors:
@@ -294,6 +313,45 @@ class TestErrors:
         code, data = run_json(capsys, "check", "min-lookahead", str(path))
         assert code == 0
         assert data["min_lookahead"] == 1500
+
+    @pytest.mark.parametrize("depth", [1, 40, 900, 3000])
+    def test_deeply_nested_ast_json(self, capsys, depth):
+        # The standard JSON encoder recurses once per level and refuses the
+        # deepest of these; the output must still be what it writes.
+        code, out, err = run(capsys, "parse", "a" + "*" * depth)
+        assert code == 0 and not err
+        pad = "  "
+        expected = (
+            "{\n"
+            + "".join(f'{pad * (d + 1)}"kind": "star",\n{pad * (d + 1)}"child": {{\n' for d in range(depth))
+            + f'{pad * (depth + 1)}"kind": "literal",\n{pad * (depth + 1)}"symbol": "a"\n'
+            + "".join(f"{pad * d}}}\n" for d in reversed(range(depth + 1)))
+        )
+        assert out == expected
+        if depth < 990:
+            ast = parse("a" + "*" * depth)
+            assert out == json.dumps(ast_to_json(ast), indent=2, ensure_ascii=False) + "\n"
+        code, out, err = run(capsys, "chi", "[ab]" + "*" * depth)
+        assert code == 0 and not err
+        assert out.endswith("}\n}\n")
+
+    def test_json_writer_matches_json_dumps(self):
+        rng = random.Random(3)
+        leaves = [None, True, False, 0, -7, 2**70, 1.5, float("inf"), "", 'a"b\\c\n\u00e9\x01', [], {}, ()]
+
+        def payload(depth):
+            r = rng.random()
+            if depth > 4 or r < 0.3:
+                return rng.choice(leaves)
+            if r < 0.75:
+                return [payload(depth + 1) for _ in range(rng.randrange(4))]
+            if r < 0.85:
+                return tuple(payload(depth + 1) for _ in range(rng.randrange(3)))
+            return {rng.choice(["k", "\u00e9", 'q"']) + str(i): payload(depth + 1) for i in range(rng.randrange(4))}
+
+        for _ in range(2000):
+            value = payload(0)
+            assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
     def test_recursion_error_is_exit_2_not_fail(self, capsys, monkeypatch):
         def overflow(value):
@@ -348,7 +406,24 @@ class TestHashSeedIndependence:
             ],
             alphabet="abcdefgh",
         )
+        # Three letters, several initials, one final state moved: several
+        # words of the least differing length tell the two apart.
+        letters = BlockAutomaton.make(
+            states=states,
+            initials={"q0", "q1", "q4"},
+            finals={"q2", "q5"},
+            transitions=[
+                (rng.choice(states), rng.choice("abc"), rng.choice(states)) for _ in range(18)
+            ],
+        )
         files = {
+            "left": letters,
+            "right": BlockAutomaton.make(
+                states=states,
+                initials=letters.initials,
+                finals={"q3", "q5"},
+                transitions=letters.transitions,
+            ),
             "nfa": glushkov_two_lookahead(),
             "dfa": determinize(glushkov_two_lookahead()),
             "blocks": glushkov_two_block(),
@@ -357,7 +432,9 @@ class TestHashSeedIndependence:
         }
         for name, a in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(to_json(a)))
-        nfa, dfa, blocks, tag_file, wide_file = (str(tmp_path / f"{name}.json") for name in files)
+        left, right, nfa, dfa, blocks, tag_file, wide_file = (
+            str(tmp_path / f"{name}.json") for name in files
+        )
         recursing = "(c+[ba])*+([cca]*[cb])*"
         corpus = [
             ["bkw", recursing],
@@ -373,9 +450,12 @@ class TestHashSeedIndependence:
             ["bkw", tag_file],
             ["--text", "bkw", tag_file],
             ["det", wide_file],
+            ["equiv", left, right],
+            ["--text", "equiv", left, right],
         ]
         first = _run_corpus(corpus, 0)
         assert "orbit {cca_3," in first and '"violations": [\n      [' in first
         assert first.count("minimized: 1 states, 63 transitions") == 63
         assert '"from": "{q0,q2,q3}"' in first
+        assert '"counterexample": "' in first and '\ncounterexample: "' in first
         assert _run_corpus(corpus, 1) == first

@@ -15,6 +15,7 @@ from .automaton import (
     is_deterministic,
     minimize,
     out_edges,
+    postorder,
     trim,
 )
 from .determinism import is_k_block_deterministic
@@ -225,7 +226,7 @@ def _orbit_automaton(orbit: Orbit, inside: list, state: str) -> BlockAutomaton:
 
 @dataclass(frozen=True)
 class BkwNode:
-    """One recursion step of the BKW test."""
+    """One step of the BKW test: the analysis of one automaton."""
 
     fingerprint: str
     consistent: tuple
@@ -248,24 +249,46 @@ class BkwTrace:
 
 
 def bkw_test(a: BlockAutomaton) -> BkwTrace:
-    """Recursive decision procedure for one-unambiguity.
+    """Decision procedure for one-unambiguity.
 
     On a minimal DFA the verdict decides one-unambiguity of the language;
     on a merely deterministic automaton a passing verdict is a sufficient
-    certificate.
+    certificate.  Each distinct automaton met is analysed once, children
+    first, and every parent shares its node.
     """
     if a.states and not is_deterministic(a):
         raise ValueError("the BKW test needs a deterministic automaton")
-    root = _bkw_node(trim(a), None)
-    return BkwTrace(root.ok, root)
+    a = trim(a)
+    root = (a.transitions, a.initials, a.finals)  # determines a trimmed automaton
+    unrooted = {root: a}  # per key, an automaton that differs at most in initials
+    steps: dict = {}
+
+    def successors(key):
+        x = unrooted[key]
+        if x.initials != key[1]:  # built on a memo miss only
+            x = replace(x, initials=key[1])
+        steps[key] = _, edges = _bkw_step(x)
+        unrooted.update((child, sub) for _, child, sub in edges)
+        return [child for _, child, _ in edges]
+
+    for key in postorder([root], successors):  # children first
+        fields, edges = steps[key]
+        fields["children"] = tuple(BkwNode(**steps[c][0], context=w) for w, c, _ in edges)
+        if not all(child.ok for child in fields["children"]):
+            fields["failure"] = "recursion"
+    node = BkwNode(**steps[root][0])
+    return BkwTrace(node.ok, node)
 
 
-def _bkw_node(a: BlockAutomaton, context: str | None) -> BkwNode:
+def _bkw_step(a: BlockAutomaton) -> tuple[dict, list]:
+    """The fields of the node of `a` but its context and children, and per
+    child its context, its key and an automaton that differs from it at
+    most in initials."""
     fingerprint = f"{len(a.states)} states, {len(a.transitions)} transitions"
+    fields = dict(fingerprint=fingerprint, consistent=(), orbit_property_holds=True, failure=None)
     if not a.states:
-        return BkwNode(fingerprint, (), True, None, context=context)
+        return fields, []
     symbols = consistent_symbols(a)
-    consistent = tuple(sorted(b.letters for b in symbols))
     cut = s_cut(a, symbols)
     edges = out_edges(cut)
     decomposition = _orbits(cut, edges)
@@ -274,71 +297,61 @@ def _bkw_node(a: BlockAutomaton, context: str | None) -> BkwNode:
         len(decomposition.orbits) == 1 and not decomposition.orbits[0].trivial
     )
     if single_nontrivial and not symbols:
-        return BkwNode(fingerprint, (), None, "no-consistent-symbol", context=context)
+        return {**fields, "orbit_property_holds": None, "failure": "no-consistent-symbol"}, []
+    fields["consistent"] = tuple(sorted(b.letters for b in symbols))
     holds = _orbit_property(cut, decomposition, edges)
     if not holds:
-        return BkwNode(
-            fingerprint,
-            consistent,
-            False,
-            "orbit-property",
-            violating_orbit=holds.orbit,
-            violating_pair=holds.pair,
-            context=context,
-        )
+        fields.update(orbit_property_holds=False, failure="orbit-property",
+                      violating_orbit=holds.orbit, violating_pair=holds.pair)
+        return fields, []
     children = []
     for orbit in decomposition.nontrivial():
         label = "{" + ",".join(sorted(orbit.states)) + "}"
         # An orbit is strongly connected, so trimming keeps the same states
         # from every start, and refinement ignores the start: minimize once,
-        # then re-root.  States with one minimized state share one subtree.
+        # then re-root.  States with one minimized state share one key.
         states = sorted(orbit.states)
         sub, rename = _minimize(_orbit_automaton(orbit, _inside(orbit, edges), states[0]))
-        done: dict = {}
         for q in states:
-            where = f"orbit {label} from {q}, minimized"
-            root = rename[q]
-            if root in done:
-                children.append(replace(done[root], context=where))
-            else:
-                done[root] = _bkw_node(replace(sub, initials=frozenset({root})), where)
-                children.append(done[root])
-    failure = None if all(child.ok for child in children) else "recursion"
-    return BkwNode(
-        fingerprint,
-        consistent,
-        True,
-        failure,
-        context=context,
-        children=tuple(children),
-    )
+            key = (sub.transitions, frozenset({rename[q]}), sub.finals)
+            children.append((f"orbit {label} from {q}, minimized", key, sub))
+    return fields, children
+
+
+def _preorder(root: BkwNode):
+    """Each node of the tree under `root` with its depth, parents first."""
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def bkw_to_json(trace: BkwTrace) -> dict:
-    return {"verdict": trace.verdict, "steps": _node_json(trace.steps)}
-
-
-def _node_json(node: BkwNode) -> dict:
-    data = {
-        "fingerprint": node.fingerprint,
-        "S": list(node.consistent),
-        "orbitProperty": node.orbit_property_holds,
-        "failure": node.failure,
-        "children": [_node_json(child) for child in node.children],
-    }
-    if node.violating_orbit is not None:
-        data["violatingOrbit"] = sorted(node.violating_orbit)
-    if node.violating_pair is not None:
-        data["violatingPair"] = list(node.violating_pair)
-    if node.context is not None:
-        data["context"] = node.context
-    return data
+    path: list = [[]]  # path[d] collects the nodes at depth d under the current path
+    for node, depth in _preorder(trace.steps):
+        data = {
+            "fingerprint": node.fingerprint,
+            "S": list(node.consistent),
+            "orbitProperty": node.orbit_property_holds,
+            "failure": node.failure,
+            "children": [],
+        }
+        if node.violating_orbit is not None:
+            data["violatingOrbit"] = sorted(node.violating_orbit)
+        if node.violating_pair is not None:
+            data["violatingPair"] = list(node.violating_pair)
+        if node.context is not None:
+            data["context"] = node.context
+        del path[depth + 1 :]
+        path[depth].append(data)
+        path.append(data["children"])
+    return {"verdict": trace.verdict, "steps": path[0][0]}
 
 
 def render_trace(trace: BkwTrace) -> str:
     lines = [f"verdict: {'pass' if trace.verdict else 'fail'}"]
-
-    def walk(node: BkwNode, depth: int):
+    for node, depth in _preorder(trace.steps):
         pad = "  " * depth
         head = node.context or "input"
         lines.append(f"{pad}{head}: {node.fingerprint}, S={{{','.join(node.consistent)}}}")
@@ -347,10 +360,6 @@ def render_trace(trace: BkwTrace) -> str:
             lines.append(f"{pad}  FAIL orbit property on {{{orbit}}} (pair {node.violating_pair})")
         elif node.failure == "no-consistent-symbol":
             lines.append(f"{pad}  FAIL single non-trivial orbit without a consistent symbol")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(trace.steps, 0)
     return "\n".join(lines)
 
 

@@ -171,6 +171,16 @@ def width1_corpus() -> list[RegexAst]:
     return [parse(text) for text in WIDTH1_EXPRESSION_TEXTS]
 
 
+def nested_orbits(depth: int) -> str:
+    """`c(…)*d` nested `depth` deep around `a`: a minimal DFA of depth + 2
+    states whose BKW tree has factorially many nodes but only
+    depth(depth + 1)/2 + 1 distinct node automata."""
+    text = "a"
+    for _ in range(depth):
+        text = f"c({text})*d"
+    return text
+
+
 def random_expression(rng: random.Random, max_positions: int, max_width: int) -> RegexAst:
     """A random trimmed expression over {a,b,c} with a position budget."""
 

@@ -1,12 +1,18 @@
 """Orbit analysis, the BKW decision procedure and the block certificate."""
 
 import itertools
+import json
+import os
 import random
 import string
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import blockdet
 from blockdet import bkw as bkw_module
 from blockdet import (
     BlockAutomaton,
@@ -31,7 +37,13 @@ from blockdet import (
 from blockdet.bkw import render_trace
 from blockdet.witnesses import block_ak, block_bk, hanwood_mk
 
-from conftest import glushkov_union_tail, min_dfa_two_block, random_expression, rewired_counterexample
+from conftest import (
+    glushkov_union_tail,
+    min_dfa_two_block,
+    nested_orbits,
+    random_expression,
+    rewired_counterexample,
+)
 
 
 class TestOrbitDecomposition:
@@ -317,7 +329,7 @@ class TestOrbitReRooting:
                 for q in sorted(orbit.states):
                     child = next(children)
                     sub = minimize(orbit_automaton(cut, q))
-                    assert child == bkw_module._bkw_node(sub, child.context)
+                    assert child == replace(bkw_test(sub).steps, context=child.context)
                     subtrees.add(replace(child, context=None))
                     checked += 1
                 rooted += len(subtrees) > 1  # the start state shows in the subtree
@@ -348,6 +360,120 @@ class TestOrbitReRooting:
             f"orbit {label} from {q}, minimized" for q in orbit
         ]
         assert {c.fingerprint for c in children} == {"1 states, 63 transitions"}
+
+
+class TestSharedNodes:
+    """BKW analyses each distinct automaton of one call once, and every
+    parent shares the node of an automaton met again."""
+
+    def test_nested_orbits_analyse_each_automaton_once(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        real = bkw_module._bkw_step
+        monkeypatch.setattr(bkw_module, "_bkw_step", counting)
+        tree_sizes = {2: 4, 3: 10, 4: 32, 5: 130, 6: 652, 7: 3914, 8: 27400}
+        for depth in range(2, 13):
+            calls.clear()
+            trace = bkw_test(minimal_dfa(parse(nested_orbits(depth))))
+            assert trace.verdict is True
+            # 27,400 analyses at depth 8 before the tree shared its nodes
+            assert len(calls) == depth * (depth + 1) // 2 + 1
+            assert len(set(calls)) == len(calls)
+            if depth in tree_sizes:
+                nodes, stack = 0, [trace.steps]
+                while stack:
+                    nodes += 1
+                    stack.extend(stack.pop().children)
+                assert nodes == tree_sizes[depth]
+
+    def test_writers_match_a_recursive_reference(self):
+        def node_json(node):
+            data = {
+                "fingerprint": node.fingerprint,
+                "S": list(node.consistent),
+                "orbitProperty": node.orbit_property_holds,
+                "failure": node.failure,
+                "children": [node_json(child) for child in node.children],
+            }
+            if node.violating_orbit is not None:
+                data["violatingOrbit"] = sorted(node.violating_orbit)
+            if node.violating_pair is not None:
+                data["violatingPair"] = list(node.violating_pair)
+            if node.context is not None:
+                data["context"] = node.context
+            return data
+
+        def text_lines(node, depth):
+            pad = "  " * depth
+            yield f"{pad}{node.context or 'input'}: {node.fingerprint}, S={{{','.join(node.consistent)}}}"
+            if node.failure == "orbit-property":
+                orbit = ",".join(sorted(node.violating_orbit))
+                yield f"{pad}  FAIL orbit property on {{{orbit}}} (pair {node.violating_pair})"
+            elif node.failure == "no-consistent-symbol":
+                yield f"{pad}  FAIL single non-trivial orbit without a consistent symbol"
+            for child in node.children:
+                yield from text_lines(child, depth + 1)
+
+        rng = random.Random(99)
+        automata = [minimal_dfa(parse(nested_orbits(d))) for d in range(1, 6)]
+        automata += [_random_minimal_dfa(rng) for _ in range(80)]
+        automata += [minimal_dfa(random_expression(rng, 7, 2)) for _ in range(80)]
+        failures = set()
+        for a in automata:
+            trace = bkw_test(a)
+            assert json.dumps(bkw_to_json(trace)) == json.dumps(
+                {"verdict": trace.verdict, "steps": node_json(trace.steps)}
+            )
+            verdict = f"verdict: {'pass' if trace.verdict else 'fail'}"
+            assert render_trace(trace) == "\n".join([verdict, *text_lines(trace.steps, 0)])
+            failures |= _collect_failures(trace.steps)
+        assert failures == {"orbit-property", "no-consistent-symbol", "recursion"}
+
+
+_NO_RECURSION_SCRIPT = """
+import json, sys
+from blockdet import bkw_test, bkw_to_json, minimal_dfa, parse
+from blockdet.bkw import BkwNode, BkwTrace, render_trace
+text = "a"
+for _ in range(30):
+    text = f"c({text})*d"
+dfa = minimal_dfa(parse(text))
+chain = BkwNode("1 states, 0 transitions", (), True, None)
+for level in range(3000):
+    chain = BkwNode("1 states, 1 transitions", ("a",), True, None, context=f"level {level}",
+                    children=(chain,))
+sys.setrecursionlimit(20)
+verdict = bkw_test(dfa).verdict
+data = bkw_to_json(BkwTrace(True, chain))["steps"]
+rendered = render_trace(BkwTrace(True, chain)).splitlines()
+depth = 0
+while data["children"]:
+    data = data["children"][0]
+    depth += 1
+sys.setrecursionlimit(1000)
+print(json.dumps([verdict, depth, len(rendered), rendered[-1]]))
+"""
+
+
+def test_bkw_needs_no_recursion():
+    # 30 nested orbits under a recursion limit of 20, and a 3000-deep trace.
+    src = str(Path(blockdet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_RECURSION_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    deepest = " " * 6000 + "input: 1 states, 0 transitions, S={}"
+    assert json.loads(done.stdout) == [True, 3000, 3002, deepest]
 
 
 class TestIsOneUnambiguous:

@@ -26,7 +26,7 @@ from blockdet import (
 from blockdet.cli import _json_text, main
 from blockdet.witnesses import block_bk, hanwood_mk
 
-from conftest import glushkov_two_block, glushkov_two_lookahead, min_dfa_two_block
+from conftest import glushkov_two_block, glushkov_two_lookahead, min_dfa_two_block, nested_orbits
 
 
 def run(capsys, *argv):
@@ -169,6 +169,15 @@ class TestBkwVerb:
         code, out, err = run(capsys, "--text", "bkw", str(path))
         assert code == 1
         assert "verdict: fail" in out
+
+    def test_nested_orbits_answer(self, capsys):
+        # 20 nested orbits: each distinct automaton is analysed once, and
+        # verdicts never expand the factorially large shared tree.
+        text = nested_orbits(20)
+        code, data = run_json(capsys, "check", "one-unambiguous", text)
+        assert (code, data) == (0, {"one_unambiguous": True})
+        code, data = run_json(capsys, "certify", "-k", "1", text)
+        assert (code, data) == (0, {"k": 1, "certified": True})
 
 
 class TestCertifyVerb:
@@ -449,6 +458,9 @@ class TestHashSeedIndependence:
             ["certify", "-k", "3", tag_group],
             ["bkw", tag_file],
             ["--text", "bkw", tag_file],
+            # subtrees shared across nodes
+            ["bkw", nested_orbits(5)],
+            ["--text", "bkw", nested_orbits(5)],
             ["det", wide_file],
             ["equiv", left, right],
             ["--text", "equiv", left, right],

@@ -253,31 +253,38 @@ def standardize(a: BlockAutomaton) -> BlockAutomaton:
 
 
 def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
-    """Replace every block transition by a chain of width-1 transitions."""
+    """Replace every block transition by a chain of width-1 transitions.
+
+    Chains are shared: each fresh state is keyed on the letters it has
+    still to read and the target it then enters, and has no other edge,
+    so its language is that suffix followed by the target's.  A chain
+    links into an existing state as soon as its next key is taken.  On a
+    Glushkov automaton every transition into a position carries that
+    position's block, so each position gets one chain and the result is
+    linear in the expression.  Transitions are walked in sorted order, and
+    fresh states are named ``@0``, ``@1``, ... in first-use order.
+    """
     if a.width <= 1:
         return a
     states = set(a.states)
+    symbols = {c: BlockSymbol(c) for b in a.alphabet for c in b.letters}
+    chains: dict[tuple[str, str], str] = {}
     transitions: list[Transition] = []
-    symbols: dict[str, BlockSymbol] = {}
-    counter = 0
     for t in a.sorted_transitions():
         letters = t.label.letters
-        if len(letters) == 1:
-            transitions.append(t)
-            continue
-        previous = t.source
-        for offset, letter in enumerate(letters):
-            last = offset == len(letters) - 1
-            if last:
-                nxt = t.target
-            else:
-                nxt = fresh_name(states, f"@{counter}")
-                counter += 1
-                states.add(nxt)
-            if letter not in symbols:
-                symbols[letter] = BlockSymbol(letter)
-            transitions.append(Transition(previous, symbols[letter], nxt))
-            previous = nxt
+        source = t.source
+        for offset in range(1, len(letters)):
+            key = (letters[offset:], t.target)
+            shared = chains.get(key)
+            if shared is not None:
+                transitions.append(Transition(source, symbols[letters[offset - 1]], shared))
+                break
+            fresh = chains[key] = fresh_name(states, f"@{len(chains)}")
+            states.add(fresh)
+            transitions.append(Transition(source, symbols[letters[offset - 1]], fresh))
+            source = fresh
+        else:
+            transitions.append(Transition(source, symbols[letters[-1]], t.target))
     return BlockAutomaton.make(
         states=states,
         initials=a.initials,

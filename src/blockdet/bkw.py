@@ -187,11 +187,12 @@ def s_cut(a: BlockAutomaton, symbols: Iterable) -> BlockAutomaton:
     cut_set = frozenset(symbols)
     if cut_set and not cut_set <= consistent_symbols(a):
         raise ValueError("s_cut needs a consistent symbol set")
-    kept = [
-        t
-        for t in a.transitions
-        if not (t.source in a.finals and t.label in cut_set)
-    ]
+    return _cut(a, cut_set)
+
+
+def _cut(a: BlockAutomaton, symbols: frozenset) -> BlockAutomaton:
+    """`s_cut` on symbols already known to be consistent."""
+    kept = [t for t in a.transitions if not (t.source in a.finals and t.label in symbols)]
     return trim(
         BlockAutomaton.make(
             states=a.states,
@@ -289,7 +290,7 @@ def _bkw_step(a: BlockAutomaton) -> tuple[dict, list]:
     if not a.states:
         return fields, []
     symbols = consistent_symbols(a)
-    cut = s_cut(a, symbols)
+    cut = _cut(a, symbols)
     edges = out_edges(cut)
     decomposition = _orbits(cut, edges)
     # Without consistent symbols the cut is `a` itself, which is trimmed.

@@ -219,7 +219,10 @@ def _run(args) -> int:
         value = _read_input(args.input)
         a = bk.minimal_dfa(value) if isinstance(value, sx.RegexAst) else value
         trace = bk.bkw_test(a)
-        _emit(bk.bkw_to_json(trace), fmt, text=bk.render_trace(trace))
+        # Build only the output `fmt` prints; `--dot` has neither and is refused.
+        payload = bk.bkw_to_json(trace) if fmt == "json" else None
+        text = bk.render_trace(trace) if fmt == "text" else None
+        _emit(payload, fmt, text=text)
         return 0 if trace.verdict else 1
 
     if args.verb == "certify":

@@ -11,7 +11,7 @@ base letters are restricted to alphanumerics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 KEYWORDS = ("empty", "eps")
 
@@ -66,9 +66,9 @@ class BlockSymbol(str):
         return f"BlockSymbol({str.__repr__(self)})"
 
 
-@dataclass(frozen=True, order=True)
-class Position:
-    """One indexed block occurrence of a marked expression."""
+class Position(NamedTuple):
+    """One indexed block occurrence of a marked expression; a tuple, so
+    hashing, equality and ordering (index, then block) run in C."""
 
     index: int
     block: BlockSymbol

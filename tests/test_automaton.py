@@ -145,6 +145,33 @@ class TestExpandBlocks:
             ("1", "b", fresh),
             (fresh, "a", "1"),
         ]
+        # "cba" and "ca" into 2 end in the chain that "ba" made for ("a", 2).
+        a = BlockAutomaton.make(
+            states={"1", "2", "3"},
+            initials={"1"},
+            finals={"2"},
+            transitions=[("1", "ba", "2"), ("1", "cba", "2"), ("3", "ca", "2")],
+        )
+        out = expand_blocks(a)
+        assert out.states == {"1", "2", "3", "@0", "@1"}
+        assert {(t.source, t.label.letters, t.target) for t in out.transitions} == {
+            ("1", "b", "@0"),
+            ("@0", "a", "2"),
+            ("1", "c", "@1"),
+            ("@1", "b", "@0"),
+            ("3", "c", "@0"),
+        }
+
+    def test_fresh_names_avoid_states(self):
+        a = BlockAutomaton.make(
+            states={"@0", "@1"}, initials={"@0"}, finals={"@1"}, transitions=[("@0", "abc", "@1")]
+        )
+        out = expand_blocks(a)
+        assert [(t.source, t.label.letters, t.target) for t in out.sorted_transitions()] == [
+            ("@0", "a", "@0'"),
+            ("@0'", "b", "@1'"),
+            ("@1'", "c", "@1"),
+        ]
 
     def test_width1_unchanged(self):
         a = min_dfa_two_block()
@@ -156,8 +183,61 @@ class TestExpandBlocks:
         assert accepts(expand_blocks(b2), "abc")
 
     def test_language_preserved(self, corpus_automata):
+        # `accepts` reads block labels directly, so it referees the expansion.
         for a in corpus_automata:
-            assert enumerate_words(expand_blocks(a), 5) == enumerate_words(a, 5)
+            flat = expand_blocks(a)
+            letters = sorted({c for b in a.alphabet for c in b.letters})
+            for n in range(6):
+                for word in map("".join, itertools.product(letters, repeat=n)):
+                    assert accepts(flat, word) == accepts(a, word), (a, word)
+
+    def test_random_block_automata(self):
+        # Widths 1-3 over two letters, so suffixes repeat and several labels
+        # enter one target.
+        rng = random.Random(2608)
+        blocks = ["".join(p) for n in (1, 2, 3) for p in itertools.product("ab", repeat=n)]
+        words = ["".join(p) for n in range(7) for p in itertools.product("ab", repeat=n)]
+        shared = 0
+        for _ in range(150):
+            states = [f"q{i}" for i in range(rng.randint(1, 4))]
+            transitions = {
+                (rng.choice(states), rng.choice(blocks), rng.choice(states))
+                for _ in range(rng.randint(0, 9))
+            }
+            a = BlockAutomaton.make(
+                states=states,
+                initials=rng.sample(states, rng.randint(1, len(states))),
+                finals=rng.sample(states, rng.randint(0, len(states))),
+                transitions=transitions,
+            )
+            flat = expand_blocks(a)
+            assert flat.width <= 1
+            for word in words:
+                assert accepts(flat, word) == accepts(a, word), (a, word)
+            keys = {
+                (label[i:], target)
+                for _, label, target in transitions
+                for i in range(1, len(label))
+            }
+            assert len(flat.states) - len(a.states) == len(keys)
+            chained = sum(len(label) - 1 for _, label, _ in transitions)
+            shared += len(keys) < chained
+        assert shared > 50
+
+    def test_glushkov_tag_groups_are_linear(self):
+        # A tag group has about n^2 transitions but gets one chain per position.
+        rng = random.Random(77)
+        words = ["".join(p) for n in range(6) for p in itertools.product("abcz", repeat=n)]
+        for n in (1, 2, 5, 12, 30):
+            tags = [
+                "".join(rng.choice("abc") for _ in range(rng.randint(1, 3))) for _ in range(n)
+            ]
+            g = glushkov(parse("(" + "+".join(f"[{t}]" for t in tags) + ")*[zz]"))
+            flat = expand_blocks(g.automaton)
+            fresh = len(flat.states) - len(g.automaton.states)
+            assert fresh == sum(p.block.width - 1 for p in g.position_of_state.values())
+            for word in words:
+                assert accepts(flat, word) == accepts(g.automaton, word), (tags, word)
 
 
 class TestDeterminize:

@@ -390,6 +390,29 @@ class TestSharedNodes:
                     stack.extend(stack.pop().children)
                 assert nodes == tree_sizes[depth]
 
+    def test_one_consistent_symbols_per_analysis(self, monkeypatch):
+        # `_bkw_step` cuts with the symbols it has just computed, without
+        # the check that public `s_cut` makes.
+        counts = {"step": 0, "symbols": 0}
+
+        def counting(name, real):
+            def wrapper(a):
+                counts[name] += 1
+                return real(a)
+
+            return wrapper
+
+        monkeypatch.setattr(bkw_module, "_bkw_step", counting("step", bkw_module._bkw_step))
+        monkeypatch.setattr(
+            bkw_module, "consistent_symbols", counting("symbols", bkw_module.consistent_symbols)
+        )
+        rng = random.Random(31)
+        inputs = [parse(nested_orbits(d)) for d in range(1, 6)]
+        inputs += [random_expression(rng, 8, 2) for _ in range(60)]
+        for expr in inputs:
+            bkw_test(minimal_dfa(expr))
+        assert counts["step"] > 100 and counts["symbols"] == counts["step"]
+
     def test_writers_match_a_recursive_reference(self):
         def node_json(node):
             data = {

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import blockdet
+from blockdet import bkw as bkw_module
 from blockdet import (
     BlockAutomaton,
     ast_to_json,
@@ -169,6 +170,26 @@ class TestBkwVerb:
         code, out, err = run(capsys, "--text", "bkw", str(path))
         assert code == 1
         assert "verdict: fail" in out
+
+    def test_builds_only_the_printed_output(self, capsys, monkeypatch):
+        built = []
+
+        def counting(name, real):
+            def wrapper(trace):
+                built.append(name)
+                return real(trace)
+
+            return wrapper
+
+        for name in ("bkw_to_json", "render_trace"):
+            monkeypatch.setattr(bkw_module, name, counting(name, getattr(bkw_module, name)))
+        assert run(capsys, "bkw", "(a+b)*a")[0] == 0 and built == ["bkw_to_json"]
+        built.clear()
+        assert run(capsys, "--text", "bkw", "(a+b)*a")[0] == 0 and built == ["render_trace"]
+        built.clear()
+        code, out, err = run(capsys, "--dot", "bkw", "(a+b)*a")
+        assert (code, out, built) == (2, "", [])
+        assert err == "blockdet: --dot applies only to commands that output an automaton\n"
 
     def test_nested_orbits_answer(self, capsys):
         # 20 nested orbits: each distinct automaton is analysed once, and
@@ -466,7 +487,8 @@ class TestHashSeedIndependence:
             ["--text", "equiv", left, right],
         ]
         first = _run_corpus(corpus, 0)
-        assert "orbit {cca_3," in first and '"violations": [\n      [' in first
+        # a nested orbit, indented under its parent
+        assert "\n    orbit {@3,cca_3,{@1,@2}} from cca_3," in first and '"violations": [\n      [' in first
         assert first.count("minimized: 1 states, 63 transitions") == 63
         assert '"from": "{q0,q2,q3}"' in first
         assert '"counterexample": "' in first and '\ncounterexample: "' in first

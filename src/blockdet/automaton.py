@@ -8,7 +8,7 @@ labels actually used.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, NamedTuple
 
@@ -146,25 +146,18 @@ def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
         raise ValueError("maxlen must be >= 0")
     flat = expand_blocks(a)
     edges = out_edges(flat)
-    letters = sorted(b.letters for b in flat.alphabet)
     out: list[str] = []
-    level: dict[str, frozenset] = {"": frozenset(flat.initials)}
+    level: dict[str, set] = {"": set(flat.initials)}
     for _ in range(maxlen + 1):
         for word in sorted(level):
             if level[word] & flat.finals:
                 out.append(word)
-        nxt: dict[str, set] = {}
+        nxt: dict[str, set] = defaultdict(set)
         for word, reached in level.items():
-            for letter in letters:
-                targets = {
-                    t.target
-                    for q in reached
-                    for t in edges[q]
-                    if t.label.letters == letter
-                }
-                if targets:
-                    nxt.setdefault(word + letter, set()).update(targets)
-        level = {w: frozenset(s) for w, s in nxt.items()}
+            for q in reached:  # one scan per state; word + letter keys the group
+                for t in edges[q]:
+                    nxt[word + t.label.letters].add(t.target)
+        level = nxt
         if not level:
             break
     return out
@@ -518,11 +511,12 @@ def to_json(a: BlockAutomaton) -> dict:
         "states": sorted(a.states),
         "initials": sorted(a.initials),
         "finals": sorted(a.finals),
-        "transitions": [
-            {"from": t.source, "label": t.label.letters, "to": t.target}
-            for t in a.sorted_transitions()
-        ],
+        "transitions": [transition_to_json(t) for t in a.sorted_transitions()],
     }
+
+
+def transition_to_json(t: Transition) -> dict:
+    return {"from": t.source, "label": t.label.letters, "to": t.target}
 
 
 def from_json(data: Mapping) -> BlockAutomaton:

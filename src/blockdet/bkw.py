@@ -56,7 +56,7 @@ def orbit_decomposition(a: BlockAutomaton) -> OrbitDecomposition:
 def _orbits(a: BlockAutomaton, edges: dict) -> OrbitDecomposition:
     entering = in_edges(a)
     orbits = []
-    for component in _tarjan(a.states, edges):
+    for component in _components(a.states, edges, entering):
         # trivial = singleton without a self-loop
         trivial = len(component) == 1 and not any(
             t.target in component for q in component for t in edges[q]
@@ -78,49 +78,30 @@ def _orbits(a: BlockAutomaton, edges: dict) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(orbits))
 
 
-def _tarjan(states: frozenset, edges: dict) -> list[set]:
-    """Iterative Tarjan SCC over an out_edges index."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
+def _components(states: frozenset, edges: dict, entering: dict) -> list[set]:
+    """Strongly connected components by Kosaraju's two passes.  The forward
+    pass is one `postorder` walk that hides every state entered earlier,
+    which is on the path or finished, so it walks through cycles; the
+    backward pass sweeps one component at a time along in-edges, latest
+    finisher first."""
+    entered: set = set()
+
+    def unentered(q):
+        entered.add(q)
+        return [t.target for t in edges[q] if t.target not in entered]
+
     components: list[set] = []
-    counter = 0
-    for root in sorted(states):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, child_i = work.pop()
-            if child_i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for i in range(child_i, len(edges[node])):
-                nxt = edges[node][i].target
-                if nxt not in index:
-                    work.append((node, i + 1))
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    swept: set = set()
+    for root in reversed(postorder(states, unentered)):
+        if root not in swept:
+            swept.add(root)
+            component = [root]
+            for q in component:  # grows while it is swept
+                for t in entering[q]:
+                    if t.source not in swept:
+                        swept.add(t.source)
+                        component.append(t.source)
+            components.append(set(component))
     return components
 
 

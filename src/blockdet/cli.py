@@ -269,17 +269,15 @@ def _run_check(args, fmt: str) -> int:
         a = _glushkov(value).automaton
     else:
         a = value
-    if args.property == "block":
-        result = dt.is_k_block_deterministic(a, args.k)
-        report = dt.DeterminismReport(au.is_deterministic(a), k_block=result)
-        _emit(dt.report_to_json(report), fmt, text=f"{args.k}-block deterministic: {result.verdict}")
-        return 0 if result.verdict else 1
-    if args.property == "lookahead":
-        result = dt.is_k_lookahead_deterministic(a, args.k)
-        report = dt.DeterminismReport(au.is_deterministic(a), k_lookahead=result)
-        _emit(
-            dt.report_to_json(report), fmt, text=f"{args.k}-lookahead deterministic: {result.verdict}"
-        )
+    if needs_k:
+        if args.property == "block":
+            result = dt.is_k_block_deterministic(a, args.k)
+            report = dt.DeterminismReport(au.is_deterministic(a), k_block=result)
+        else:
+            result = dt.is_k_lookahead_deterministic(a, args.k)
+            report = dt.DeterminismReport(au.is_deterministic(a), k_lookahead=result)
+        text = f"{args.k}-{args.property} deterministic: {result.verdict}"
+        _emit(dt.report_to_json(report), fmt, text=text)
         return 0 if result.verdict else 1
     least = dt.min_lookahead(a)
     payload = dt.report_to_json(dt.DeterminismReport(au.is_deterministic(a), min_lookahead=least))

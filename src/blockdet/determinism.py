@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .automaton import BlockAutomaton, Transition, out_edges, postorder
+from .automaton import BlockAutomaton, out_edges, postorder, transition_to_json
 from .glushkov import glushkov
 from .syntax import Empty, RegexAst, language, mark, parse, to_text, width
 
@@ -44,7 +44,7 @@ def report_to_json(report: DeterminismReport) -> dict:
             "k": c.k,
             "verdict": c.verdict,
             "violations": [
-                [_transition_json(t1), _transition_json(t2)] for t1, t2 in c.violations
+                [transition_to_json(t1), transition_to_json(t2)] for t1, t2 in c.violations
             ],
         }
 
@@ -54,10 +54,6 @@ def report_to_json(report: DeterminismReport) -> dict:
         "k_lookahead": check(report.k_lookahead),
         "min_lookahead": report.min_lookahead,
     }
-
-
-def _transition_json(t: Transition) -> dict:
-    return {"from": t.source, "label": t.label.letters, "to": t.target}
 
 
 # --- automaton-level checks -----------------------------------------------------

@@ -8,16 +8,14 @@ from itertools import combinations
 from .automaton import (
     BlockAutomaton,
     accepts,
-    determinize,
     equivalent,
-    expand_blocks,
     is_deterministic,
     isomorphic,
     minimize,
     standardize,
     trim,
 )
-from .bkw import certify_k_block_language
+from .bkw import certify_k_block_language, minimal_dfa
 from .determinism import (
     is_k_block_deterministic,
     is_k_block_deterministic_expression,
@@ -26,18 +24,6 @@ from .determinism import (
 from .glushkov import glushkov
 from .syntax import RegexAst, parse
 from .transform import eliminable, eliminate, eliminate_set
-
-FAMILIES = (
-    "hanwood_Mk",
-    "hanwood_Ek_expr",
-    "hanwood_Fk_expr",
-    "block_Ak",
-    "block_Bk",
-    "block_expr",
-    "unary_Aj",
-    "unary_Ej_expr",
-    "counterexample_fig7",
-)
 
 DEFAULT_PARAMETER_CAP = 6
 
@@ -56,18 +42,7 @@ class WitnessSpec:
 
 
 def build(spec: WitnessSpec) -> BlockAutomaton | RegexAst:
-    builder = {
-        "hanwood_Mk": hanwood_mk,
-        "hanwood_Ek_expr": hanwood_ek_expr,
-        "hanwood_Fk_expr": hanwood_fk_expr,
-        "block_Ak": block_ak,
-        "block_Bk": block_bk,
-        "block_expr": block_expr,
-        "unary_Aj": unary_aj,
-        "unary_Ej_expr": unary_ej_expr,
-        "counterexample_fig7": lambda _k: counterexample_fig7(),
-    }[spec.family]
-    return builder(spec.parameter)
+    return _BUILDERS[spec.family](spec.parameter)
 
 
 # --- the Han-Wood family: one language, shrinking block width -------------------
@@ -208,6 +183,20 @@ def counterexample_fig7() -> BlockAutomaton:
     )
 
 
+_BUILDERS = {  # in the order the CLI usage text lists the families
+    "hanwood_Mk": hanwood_mk,
+    "hanwood_Ek_expr": hanwood_ek_expr,
+    "hanwood_Fk_expr": hanwood_fk_expr,
+    "block_Ak": block_ak,
+    "block_Bk": block_bk,
+    "block_expr": block_expr,
+    "unary_Aj": unary_aj,
+    "unary_Ej_expr": unary_ej_expr,
+    "counterexample_fig7": lambda _k: counterexample_fig7(),
+}
+FAMILIES = tuple(_BUILDERS)
+
+
 def _check(parameter: int, minimum: int):
     if parameter < minimum:
         raise ValueError(f"parameter must be >= {minimum}")
@@ -295,7 +284,7 @@ def _verify_block(k: int) -> list[Claim]:
 def _verify_unary(j: int) -> list[Claim]:
     aj = unary_aj(j)
     ej = unary_ej_expr(j)
-    min_dfa = minimize(determinize(expand_blocks(glushkov(ej).automaton)))
+    min_dfa = minimal_dfa(ej)
     return [
         Claim("A_j is deterministic and trimmed", is_deterministic(aj) and trim(aj) == aj),
         Claim(

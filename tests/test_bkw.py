@@ -81,16 +81,17 @@ class TestOrbitDecomposition:
 
     def test_matches_reachability_quotient(self):
         # Cross-check the SCC computation against the mutual-reachability
-        # definition, and each orbit's flags against theirs, on random automata.
-        import random
-
+        # definition, and each orbit's flags against theirs, on random
+        # automata of up to 30 states: sparse ones (mostly trivial orbits and
+        # chains of small cycles), medium ones and dense, many-cycle ones.
         rng = random.Random(4242)
-        for _ in range(50):
-            n = rng.randint(1, 9)
+        for run in range(300):
+            n = rng.randint(1, 30)
+            low, high = [(0, n), (n, 2 * n), (2 * n, 5 * n)][run % 3]
             states = [f"s{i}" for i in range(n)]
             transitions = [
-                (rng.choice(states), rng.choice("ab"), rng.choice(states))
-                for _ in range(rng.randint(0, 2 * n))
+                (rng.choice(states), rng.choice("abc"), rng.choice(states))
+                for _ in range(rng.randint(low, high))
             ]
             a = BlockAutomaton.make(
                 states=states,
@@ -98,7 +99,8 @@ class TestOrbitDecomposition:
                 finals={q for q in states if rng.random() < 0.3},
                 transitions=set(transitions),
             )
-            reach = {q: _reachable_from(a, q) for q in states}
+            successors = {q: {t.target for t in a.transitions if t.source == q} for q in states}
+            reach = {q: _closure(successors, q) for q in states}
             expected = {
                 frozenset(p for p in states if q in reach[p] and p in reach[q])
                 for q in states
@@ -601,13 +603,12 @@ def _collect_failures(node):
     return out
 
 
-def _reachable_from(a, start):
+def _closure(successors, start):
     seen = {start}
     agenda = [start]
     while agenda:
-        q = agenda.pop()
-        for t in a.transitions:
-            if t.source == q and t.target not in seen:
-                seen.add(t.target)
-                agenda.append(t.target)
+        for nxt in successors[agenda.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                agenda.append(nxt)
     return seen

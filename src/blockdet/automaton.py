@@ -74,6 +74,27 @@ class BlockAutomaton:
         return sorted(self.transitions)
 
 
+def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
+    """Build an automaton from parts its caller made valid: `Transition`s
+    with `BlockSymbol` labels between its states.  Skips the coercion of
+    `make` and the checks of `__post_init__`; the alphabet is the labels
+    used.  The package's own producers build through here; input from
+    outside goes through `make`."""
+    # Filled one by one, as `make` fills it: a copy of a set is sized from
+    # the set's count, which for some counts doubles the table (4,800
+    # transitions: 256 kB instead of 128 kB).
+    transitions = frozenset(iter(transitions))
+    a = object.__new__(BlockAutomaton)
+    a.__dict__.update(
+        alphabet=frozenset([t.label for t in transitions]),
+        states=frozenset(states),
+        initials=frozenset(initials),
+        finals=frozenset(finals),
+        transitions=transitions,
+    )
+    return a
+
+
 def _coerce_transition(t) -> Transition:
     if isinstance(t, Transition):
         return t
@@ -122,21 +143,24 @@ def in_edges(a: BlockAutomaton) -> dict[str, list[Transition]]:
 
 def accepts(a: BlockAutomaton, word: str) -> bool:
     """True iff the word factors into transition labels along an accepting path."""
+    return len(word) in _accepted_prefixes(a, word)
+
+
+def _accepted_prefixes(a: BlockAutomaton, word: str) -> set[int]:
+    """The lengths of the word's prefixes that `accepts` holds for, from one
+    walk over (state, letters read) pairs along one edge index."""
     edges = out_edges(a)
     seen = {(q, 0) for q in a.initials}
     agenda = list(seen)
     while agenda:
         state, pos = agenda.pop()
-        if pos == len(word) and state in a.finals:
-            return True
         for t in edges[state]:
-            end = pos + t.label.width
-            if end <= len(word) and word.startswith(t.label.letters, pos):
-                step = (t.target, end)
+            if word.startswith(t.label, pos):
+                step = (t.target, pos + len(t.label))
                 if step not in seen:
                     seen.add(step)
                     agenda.append(step)
-    return False
+    return {pos for state, pos in seen if state in a.finals}
 
 
 def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
@@ -173,11 +197,11 @@ def trim(a: BlockAutomaton) -> BlockAutomaton:
     keep = forward & backward
     if len(keep) == len(a.states) and len({t.label for t in a.transitions}) == len(a.alphabet):
         return a
-    return BlockAutomaton.make(
-        states=keep,
-        initials=a.initials & keep,
-        finals=a.finals & keep,
-        transitions=[t for t in a.transitions if t.source in keep and t.target in keep],
+    return _trusted(
+        keep,
+        a.initials & keep,
+        a.finals & keep,
+        [t for t in a.transitions if t.source in keep and t.target in keep],
     )
 
 
@@ -237,11 +261,11 @@ def standardize(a: BlockAutomaton) -> BlockAutomaton:
     if a.initials & a.finals:
         finals.add(start)
     reachable = _reachable(edges, {t.target for t in copied}) | {start}
-    return BlockAutomaton.make(
-        states=reachable,
-        initials={start},
-        finals={q for q in finals if q in reachable},
-        transitions=[t for t in a.transitions | copied if t.source in reachable],
+    return _trusted(
+        reachable,
+        {start},
+        {q for q in finals if q in reachable},
+        [t for t in a.transitions | copied if t.source in reachable],
     )
 
 
@@ -260,11 +284,11 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
     if a.width <= 1:
         return a
     states = set(a.states)
-    symbols = {c: BlockSymbol(c) for b in a.alphabet for c in b.letters}
+    symbols = {c: BlockSymbol(c) for b in a.alphabet for c in b}
     chains: dict[tuple[str, str], str] = {}
     transitions: list[Transition] = []
     for t in a.sorted_transitions():
-        letters = t.label.letters
+        letters = t.label  # a str: slices and letters are plain strs
         source = t.source
         for offset in range(1, len(letters)):
             key = (letters[offset:], t.target)
@@ -278,12 +302,7 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
             source = fresh
         else:
             transitions.append(Transition(source, symbols[letters[-1]], t.target))
-    return BlockAutomaton.make(
-        states=states,
-        initials=a.initials,
-        finals=a.finals,
-        transitions=transitions,
-    )
+    return _trusted(states, a.initials, a.finals, transitions)
 
 
 # --- determinization and minimization -------------------------------------------
@@ -303,9 +322,15 @@ def is_deterministic(a: BlockAutomaton) -> bool:
 
 
 def determinize(a: BlockAutomaton) -> BlockAutomaton:
-    """Subset construction; result is deterministic and trimmed."""
+    """Subset construction; result is deterministic and trimmed.
+
+    On deterministic input every subset is a singleton named after its
+    member, so the construction would give `trim(a)`, which is returned.
+    """
     if a.width > 1:
         raise ValueError("determinize expects a width-1 automaton; expand blocks first")
+    if is_deterministic(a):
+        return trim(a)
     if not a.initials:
         return EMPTY_AUTOMATON
     edges = out_edges(a)
@@ -325,11 +350,11 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
                 subsets.append(targets)
                 agenda.append(targets)
     names = _name_groups(subsets)
-    det = BlockAutomaton.make(
-        states=[names[s] for s in subsets],
-        initials=[names[start]],
-        finals=[names[s] for s in subsets if s & a.finals],
-        transitions=[Transition(names[s], letter, names[t]) for s, letter, t in moves],
+    det = _trusted(
+        names.values(),
+        [names[start]],
+        [names[s] for s in subsets if s & a.finals],
+        [Transition(names[s], letter, names[t]) for s, letter, t in moves],
     )
     return trim(det)
 
@@ -362,46 +387,45 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
     Missing transitions are kept missing, so they distinguish states from
     looping ones; the result is the unique minimal trimmed partial DFA.
     """
-    return _minimize(a)[0]
-
-
-def _minimize(a: BlockAutomaton) -> tuple[BlockAutomaton, dict]:
-    """`minimize`, plus the map from each state kept by trimming to its
-    state in the result.  Refinement never looks at the initial states."""
     if not is_deterministic(a) and a.states:
         raise ValueError("minimize expects a deterministic automaton")
     a = trim(a)
     if not a.states:
-        return a, {}
+        return a
     edges = out_edges(a)
-    order = sorted(a.states)
-    block_of = {q: (q in a.finals) for q in order}
+    rename = _quotient([(q, q in a.finals, edges[q]) for q in sorted(a.states)])
+    return _trusted(
+        rename.values(),
+        [rename[q] for q in a.initials],
+        [rename[q] for q in a.finals],
+        [Transition(rename[t.source], t.label, rename[t.target]) for t in a.transitions],
+    )
+
+
+def _quotient(rows: list) -> dict:
+    """Moore refinement of a partial DFA given as ``(state, final, out-edges)``
+    rows in sorted state order, every edge target among the rows' states:
+    map each state to the name of its class of equal right languages.
+    Classes are named by `_name_groups` in the order of their least member,
+    so primed names do not follow the hash seed.  The initial states are
+    not read."""
+    block_of = {q: final for q, final, _ in rows}
+    count = len(set(block_of.values()))
     while True:
-        fresh_ids: dict = {}
+        ids: dict = {}
         refined = {}
-        for q in order:
-            signature = (
-                block_of[q], frozenset((t.label, block_of[t.target]) for t in edges[q])
-            )
-            refined[q] = fresh_ids.setdefault(signature, len(fresh_ids))
-        if len(set(refined.values())) == len(set(block_of.values())):
+        for q, _, edges in rows:
+            signature = (block_of[q], frozenset([(t.label, block_of[t.target]) for t in edges]))
+            refined[q] = ids.setdefault(signature, len(ids))
+        if len(ids) == count:
             break
-        block_of = refined
+        block_of, count = refined, len(ids)
     groups: dict[int, list] = {}
-    for q in order:  # sorted, so that primed names do not follow the hash seed
-        groups.setdefault(block_of[q], []).append(q)
+    for q, _, _ in rows:
+        groups.setdefault(refined[q], []).append(q)
     frozen = [frozenset(g) for g in groups.values()]
     names = _name_groups(frozen)
-    rename = {q: names[group] for group in frozen for q in group}
-    minimal = BlockAutomaton.make(
-        states=names.values(),
-        initials={rename[q] for q in a.initials},
-        finals={rename[q] for q in a.finals},
-        transitions={
-            Transition(rename[t.source], t.label, rename[t.target]) for t in a.transitions
-        },
-    )
-    return minimal, rename
+    return {q: names[group] for group in frozen for q in group}
 
 
 # --- isomorphism and equivalence --------------------------------------------------

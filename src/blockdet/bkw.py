@@ -3,12 +3,14 @@ alphabetic-image certificate for k-block deterministic languages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automaton import (
     BlockAutomaton,
-    _minimize,
+    Transition,
+    _quotient,
+    _trusted,
     determinize,
     expand_blocks,
     in_edges,
@@ -24,6 +26,10 @@ from .syntax import Empty, RegexAst
 
 
 # --- orbits --------------------------------------------------------------------
+#
+# The helpers read one per-state edge table (state -> its out-edges, as
+# `out_edges` builds it).  The BKW test builds one table per analysis and
+# cuts it in place; each public function builds one per call.
 
 
 @dataclass(frozen=True)
@@ -50,59 +56,72 @@ class OrbitDecomposition:
 
 def orbit_decomposition(a: BlockAutomaton) -> OrbitDecomposition:
     """Strongly connected components with gates and triviality flags."""
-    return _orbits(a, out_edges(a))
-
-
-def _orbits(a: BlockAutomaton, edges: dict) -> OrbitDecomposition:
+    edges = out_edges(a)
     entering = in_edges(a)
+    components = _components(a.states, edges)
     orbits = []
-    for component in _components(a.states, edges, entering):
-        # trivial = singleton without a self-loop
-        trivial = len(component) == 1 and not any(
-            t.target in component for q in component for t in edges[q]
-        )
-        in_gates = {
+    for component, gates in zip(components, _out_gates(components, edges, a.finals)):
+        members = frozenset(component)
+        in_gates = frozenset(
             q
             for q in component
-            if q in a.initials or any(t.source not in component for t in entering[q])
-        }
-        out_gates = {
-            q
-            for q in component
-            if q in a.finals or any(t.target not in component for t in edges[q])
-        }
-        orbits.append(
-            Orbit(frozenset(component), trivial, frozenset(in_gates), frozenset(out_gates))
+            if q in a.initials or any(t.source not in members for t in entering[q])
         )
-    orbits.sort(key=lambda o: sorted(o.states))
+        orbits.append(Orbit(members, _trivial(component, edges), in_gates, frozenset(gates)))
     return OrbitDecomposition(tuple(orbits))
 
 
-def _components(states: frozenset, edges: dict, entering: dict) -> list[set]:
-    """Strongly connected components by Kosaraju's two passes.  The forward
-    pass is one `postorder` walk that hides every state entered earlier,
-    which is on the path or finished, so it walks through cycles; the
-    backward pass sweeps one component at a time along in-edges, latest
-    finisher first."""
+def _components(roots: Iterable[str], edges: dict) -> list[list]:
+    """The strongly connected components of the states reachable from the
+    roots, each sorted, in sorted order.
+
+    Kosaraju's two passes.  The forward pass is one `postorder` walk that
+    hides every state entered earlier, which is on the path or finished,
+    so it walks through cycles; the backward pass sweeps one component at
+    a time along the reversed edges of the states walked, latest finisher
+    first."""
     entered: set = set()
 
     def unentered(q):
         entered.add(q)
         return [t.target for t in edges[q] if t.target not in entered]
 
-    components: list[set] = []
+    order = postorder(roots, unentered)
+    entering: dict = {q: [] for q in order}
+    for q in order:
+        for t in edges[q]:
+            entering[t.target].append(q)
+    components: list[list] = []
     swept: set = set()
-    for root in reversed(postorder(states, unentered)):
+    for root in reversed(order):
         if root not in swept:
             swept.add(root)
             component = [root]
             for q in component:  # grows while it is swept
-                for t in entering[q]:
-                    if t.source not in swept:
-                        swept.add(t.source)
-                        component.append(t.source)
-            components.append(set(component))
+                for p in entering[q]:
+                    if p not in swept:
+                        swept.add(p)
+                        component.append(p)
+            component.sort()
+            components.append(component)
+    components.sort()
     return components
+
+
+def _trivial(component: list, edges: dict) -> bool:
+    """A single state without a self-loop."""
+    return len(component) == 1 and all(t.target != component[0] for t in edges[component[0]])
+
+
+def _out_gates(components: list, edges: dict, finals: frozenset) -> list[list]:
+    """Per component, its states that are final or have an edge leaving it."""
+    gates = []
+    for component in components:
+        members = set(component)
+        gates.append(
+            [q for q in component if q in finals or any(t.target not in members for t in edges[q])]
+        )
+    return gates
 
 
 @dataclass(frozen=True)
@@ -120,31 +139,33 @@ def orbit_property(a: BlockAutomaton) -> OrbitPropertyResult:
     """All out-gates of each orbit agree on finality and on every transition
     leaving the orbit."""
     edges = out_edges(a)
-    return _orbit_property(a, _orbits(a, edges), edges)
+    components = _components(a.states, edges)
+    return _orbit_property(components, _out_gates(components, edges, a.finals), edges, a.finals)
 
 
 def _orbit_property(
-    a: BlockAutomaton, decomposition: OrbitDecomposition, edges: dict
+    components: list, gates: list, edges: dict, finals: frozenset
 ) -> OrbitPropertyResult:
-    for orbit in decomposition.orbits:
-        gates = sorted(orbit.out_gates)
+    for component, out in zip(components, gates):
+        if len(out) < 2:
+            continue
+        members = set(component)
         leaving = {
-            g: {(t.label, t.target) for t in edges[g] if t.target not in orbit.states}
-            for g in gates
+            g: {(t.label, t.target) for t in edges[g] if t.target not in members} for g in out
         }
-        for p in gates:
-            for q in gates:
+        for p in out:
+            for q in out:
                 if p == q:
                     continue
-                if p in a.finals and q not in a.finals:
+                if p in finals and q not in finals:
                     return OrbitPropertyResult(
-                        False, orbit.states, (p, q), f"{p} is final but {q} is not"
+                        False, frozenset(component), (p, q), f"{p} is final but {q} is not"
                     )
                 for b, r in sorted(leaving[p]):
                     if (b, r) not in leaving[q]:
                         return OrbitPropertyResult(
                             False,
-                            orbit.states,
+                            frozenset(component),
                             (p, q),
                             f"{p} leaves via {p} -{b.letters}-> {r} but {q} does not",
                         )
@@ -158,9 +179,15 @@ def consistent_symbols(a: BlockAutomaton) -> frozenset:
     if not is_deterministic(a):
         raise ValueError("consistent symbols are defined on deterministic automata")
     edges = out_edges(a)
-    moves = [{(t.label, t.target) for t in edges[f]} for f in a.finals]
-    shared = set.intersection(*moves) if moves else set()
-    return frozenset(label for label, _ in shared)
+    return _consistent([edges[f] for f in a.finals])
+
+
+def _consistent(rows: list) -> frozenset:
+    """The labels that every row of out-edges sends to one shared target."""
+    if not rows:
+        return frozenset()
+    shared = set.intersection(*[{(t.label, t.target) for t in row} for row in rows])
+    return frozenset([label for label, _ in shared])
 
 
 def s_cut(a: BlockAutomaton, symbols: Iterable) -> BlockAutomaton:
@@ -168,39 +195,27 @@ def s_cut(a: BlockAutomaton, symbols: Iterable) -> BlockAutomaton:
     cut_set = frozenset(symbols)
     if cut_set and not cut_set <= consistent_symbols(a):
         raise ValueError("s_cut needs a consistent symbol set")
-    return _cut(a, cut_set)
+    edges = out_edges(a)
+    _cut(edges, a.finals, cut_set)
+    kept = [t for row in edges.values() for t in row]
+    return trim(_trusted(a.states, a.initials, a.finals, kept))
 
 
-def _cut(a: BlockAutomaton, symbols: frozenset) -> BlockAutomaton:
-    """`s_cut` on symbols already known to be consistent."""
-    kept = [t for t in a.transitions if not (t.source in a.finals and t.label in symbols)]
-    return trim(
-        BlockAutomaton.make(
-            states=a.states,
-            initials=a.initials,
-            finals=a.finals,
-            transitions=kept,
-        )
-    )
+def _cut(edges: dict, finals: frozenset, symbols: frozenset) -> None:
+    """Drop the `symbols`-labelled edges of the final states' rows, in place."""
+    for f in finals:
+        edges[f] = [t for t in edges[f] if t.label not in symbols]
 
 
 def orbit_automaton(a: BlockAutomaton, state: str) -> BlockAutomaton:
     """Restrict to the orbit of `state`, making it initial and the orbit's
     out-gates final."""
     edges = out_edges(a)
-    orbit = _orbits(a, edges).orbit_of(state)
-    return _orbit_automaton(orbit, _inside(orbit, edges), state)
-
-
-def _inside(orbit: Orbit, edges: dict) -> list:
-    """The transitions with both ends in the orbit."""
-    return [t for q in orbit.states for t in edges[q] if t.target in orbit.states]
-
-
-def _orbit_automaton(orbit: Orbit, inside: list, state: str) -> BlockAutomaton:
-    return BlockAutomaton.make(
-        states=orbit.states, initials={state}, finals=orbit.out_gates, transitions=inside
-    )
+    (component,) = [c for c in _components([state], edges) if state in c]
+    (gates,) = _out_gates([component], edges, a.finals)
+    members = set(component)
+    inside = [t for q in component for t in edges[q] if t.target in members]
+    return _trusted(component, {state}, gates, inside)
 
 
 # --- the BKW test -----------------------------------------------------------------
@@ -242,61 +257,72 @@ def bkw_test(a: BlockAutomaton) -> BkwTrace:
         raise ValueError("the BKW test needs a deterministic automaton")
     a = trim(a)
     root = (a.transitions, a.initials, a.finals)  # determines a trimmed automaton
-    unrooted = {root: a}  # per key, an automaton that differs at most in initials
     steps: dict = {}
 
     def successors(key):
-        x = unrooted[key]
-        if x.initials != key[1]:  # built on a memo miss only
-            x = replace(x, initials=key[1])
-        steps[key] = _, edges = _bkw_step(x)
-        unrooted.update((child, sub) for _, child, sub in edges)
-        return [child for _, child, _ in edges]
+        steps[key] = _, edges = _bkw_step(key)
+        return [child for _, child in edges]
 
     for key in postorder([root], successors):  # children first
         fields, edges = steps[key]
-        fields["children"] = tuple(BkwNode(**steps[c][0], context=w) for w, c, _ in edges)
+        fields["children"] = tuple(BkwNode(**steps[c][0], context=w) for w, c in edges)
         if not all(child.ok for child in fields["children"]):
             fields["failure"] = "recursion"
     node = BkwNode(**steps[root][0])
     return BkwTrace(node.ok, node)
 
 
-def _bkw_step(a: BlockAutomaton) -> tuple[dict, list]:
-    """The fields of the node of `a` but its context and children, and per
-    child its context, its key and an automaton that differs from it at
-    most in initials."""
-    fingerprint = f"{len(a.states)} states, {len(a.transitions)} transitions"
+def _bkw_step(key: tuple) -> tuple[dict, list]:
+    """The fields of the node of the trimmed automaton that ``key`` =
+    (transitions, initials, finals) determines, but its context and
+    children, and per child its context and key.
+
+    One edge table serves the whole analysis: the S-cut drops the
+    consistent symbols from the finals' rows in place, and the orbits,
+    their gates and each orbit's refinement read the cut table."""
+    transitions, initials, finals = key
+    states = initials.union([t.target for t in transitions])  # all are reached
+    fingerprint = f"{len(states)} states, {len(transitions)} transitions"
     fields = dict(fingerprint=fingerprint, consistent=(), orbit_property_holds=True, failure=None)
-    if not a.states:
+    if not states:
         return fields, []
-    symbols = consistent_symbols(a)
-    cut = _cut(a, symbols)
-    edges = out_edges(cut)
-    decomposition = _orbits(cut, edges)
-    # Without consistent symbols the cut is `a` itself, which is trimmed.
-    single_nontrivial = (
-        len(decomposition.orbits) == 1 and not decomposition.orbits[0].trivial
-    )
-    if single_nontrivial and not symbols:
+    edges: dict = {q: [] for q in states}
+    for t in transitions:
+        edges[t.source].append(t)
+    symbols = _consistent([edges[f] for f in finals])
+    _cut(edges, finals, symbols)
+    # A shortest path to a final state leaves no final state, so the cut
+    # keeps every state co-accessible: its trim is what the initial reaches.
+    components = _components(initials, edges)
+    if len(components) == 1 and not symbols and not _trivial(components[0], edges):
         return {**fields, "orbit_property_holds": None, "failure": "no-consistent-symbol"}, []
     fields["consistent"] = tuple(sorted(b.letters for b in symbols))
-    holds = _orbit_property(cut, decomposition, edges)
+    gates = _out_gates(components, edges, finals)
+    holds = _orbit_property(components, gates, edges, finals)
     if not holds:
         fields.update(orbit_property_holds=False, failure="orbit-property",
                       violating_orbit=holds.orbit, violating_pair=holds.pair)
         return fields, []
     children = []
-    for orbit in decomposition.nontrivial():
-        label = "{" + ",".join(sorted(orbit.states)) + "}"
-        # An orbit is strongly connected, so trimming keeps the same states
-        # from every start, and refinement ignores the start: minimize once,
-        # then re-root.  States with one minimized state share one key.
-        states = sorted(orbit.states)
-        sub, rename = _minimize(_orbit_automaton(orbit, _inside(orbit, edges), states[0]))
-        for q in states:
-            key = (sub.transitions, frozenset({rename[q]}), sub.finals)
-            children.append((f"orbit {label} from {q}, minimized", key, sub))
+    for component, out in zip(components, gates):
+        if _trivial(component, edges):
+            continue
+        # An orbit is strongly connected, so its automaton is trimmed from
+        # every start, and refinement ignores the start: refine once, then
+        # re-root.  States with one merged state share one key.
+        members, gate_set = set(component), set(out)
+        rows = [
+            (q, q in gate_set, [t for t in edges[q] if t.target in members]) for q in component
+        ]
+        rename = _quotient(rows)
+        inside = frozenset(
+            [Transition(rename[q], t.label, rename[t.target]) for q, _, row in rows for t in row]
+        )
+        merged_finals = frozenset([rename[q] for q in out])
+        label = "{" + ",".join(component) + "}"
+        for q in component:
+            key = (inside, frozenset([rename[q]]), merged_finals)
+            children.append((f"orbit {label} from {q}, minimized", key))
     return fields, children
 
 

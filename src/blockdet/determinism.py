@@ -104,7 +104,7 @@ def min_lookahead(a: BlockAutomaton) -> int | None:
 
 def _clashing_pairs(edges: dict, clash):
     """Pairs (t1, t2) of one state's out-edges, t1 before t2 in sorted order,
-    with ``clash(t2's letters, t1's letters)``.
+    with ``clash(t2's label, t1's label)``.
 
     `clash` must hold only for labels equal to or extending t1's: sorted,
     those follow t1 in one run, so the scan stops at the first label that
@@ -113,7 +113,7 @@ def _clashing_pairs(edges: dict, clash):
         ts = sorted(leaving)
         for i, t1 in enumerate(ts):
             j = i + 1
-            while j < len(ts) and clash(ts[j].label.letters, t1.label.letters):
+            while j < len(ts) and clash(ts[j].label, t1.label):
                 yield t1, ts[j]
                 j += 1
 

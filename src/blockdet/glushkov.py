@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .automaton import BlockAutomaton, Transition, to_json
+from .automaton import BlockAutomaton, Transition, _trusted, to_json
 from .syntax import Empty, MarkedExpression, RegexAst, mark, positions
 
 INITIAL_STATE = "i"
@@ -38,13 +38,9 @@ def glushkov(expr: RegexAst | MarkedExpression) -> GlushkovAutomaton:
     finals = {name[p] for p in table.last}
     if table.nullable:
         finals.add(INITIAL_STATE)
-    automaton = BlockAutomaton.make(
-        states=states,
-        initials={INITIAL_STATE},
-        finals=finals,
-        transitions=transitions,
-        alphabet={p.block for p in marked.positions},
-    )
+    # Every position of a trimmed expression is entered, so the labels
+    # used are the blocks of all positions.
+    automaton = _trusted(states, {INITIAL_STATE}, finals, transitions)
     return GlushkovAutomaton(automaton, {name[p]: p for p in marked.positions})
 
 

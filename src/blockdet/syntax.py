@@ -392,7 +392,8 @@ def positions(marked: MarkedExpression | RegexAst) -> PositionTable:
         nullable,
         frozenset(first),
         frozenset(last),
-        {x: frozenset(s) for x, s in follow.items()},
+        # Each set is dropped as it is frozen, so the table is never held twice.
+        {x: frozenset(follow.pop(x)) for x in list(follow)},
     )
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automaton import BlockAutomaton, Transition, in_edges, out_edges, postorder
+from .automaton import BlockAutomaton, Transition, _trusted, in_edges, out_edges, postorder
 from .syntax import (
     BlockSymbol,
     Concat,
@@ -43,13 +43,8 @@ def eliminate(a: BlockAutomaton, state: str) -> BlockAutomaton:
     kept = set(a.transitions).difference(incoming, outgoing)
     for i in incoming:
         for o in outgoing:
-            kept.add(Transition(i.source, BlockSymbol(i.label.letters + o.label.letters), o.target))
-    return BlockAutomaton.make(
-        states=a.states - {state},
-        initials=a.initials,
-        finals=a.finals,
-        transitions=kept,
-    )
+            kept.add(Transition(i.source, BlockSymbol(i.label + o.label), o.target))
+    return _trusted(a.states - {state}, a.initials, a.finals, kept)
 
 
 def eliminate_set(a: BlockAutomaton, states: Iterable[str]) -> BlockAutomaton:

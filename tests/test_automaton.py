@@ -3,6 +3,8 @@ determinization, minimization, isomorphism, equivalence, enumeration."""
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -29,10 +31,12 @@ from blockdet import (
 )
 from blockdet import automaton, witnesses
 from blockdet.automaton import EMPTY_AUTOMATON
-from blockdet.syntax import base_language
+from blockdet.bkw import consistent_symbols, orbit_automaton, s_cut
+from blockdet.syntax import base_language, mark
+from blockdet.transform import eliminable, eliminate
 from blockdet.witnesses import WitnessSpec, block_ak, block_bk, counterexample_fig7, hanwood_mk, unary_aj
 
-from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, standardized_counterexample
+from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, random_expression, standardized_counterexample
 
 
 @pytest.fixture
@@ -291,6 +295,30 @@ class TestDeterminize:
             got = (dfa.states, dfa.transitions, dfa.initials, dfa.finals)
             assert got == _per_letter_subsets(nfa)
 
+    def test_deterministic_input_matches_subset_construction(self):
+        # Deterministic input skips the construction: every subset would be
+        # a singleton named after its member.  Names such as "{q0,q1}" and
+        # unused or unreachable parts must come out as the construction has them.
+        rng = random.Random(1806)
+        shrunk = 0
+        for _ in range(400):
+            states = [f"q{i}" for i in range(rng.randint(1, 7))] + ["{q0,q1}"][: rng.randint(0, 1)]
+            alphabet = rng.sample("abcd", rng.randint(1, 4))
+            moves = {(q, c): rng.choice(states) for q in states for c in alphabet if rng.random() < 0.5}
+            a = BlockAutomaton.make(
+                states=states,
+                initials=[rng.choice(states)],
+                finals=[q for q in states if rng.random() < 0.3],
+                transitions=[(q, c, r) for (q, c), r in moves.items()],
+                alphabet=alphabet,
+            )
+            assert is_deterministic(a)
+            dfa = determinize(a)
+            assert (dfa.states, dfa.transitions, dfa.initials, dfa.finals) == _per_letter_subsets(a)
+            assert dfa.alphabet == {t.label for t in dfa.transitions}
+            shrunk += dfa.states < a.states
+        assert shrunk > 100
+
 
 class TestMinimize:
     def test_already_minimal_fixed_point(self):
@@ -338,6 +366,41 @@ class TestMinimize:
     def test_nondeterministic_rejected(self):
         with pytest.raises(ValueError):
             minimize(glushkov_union_tail())
+
+    def test_oracle_on_random_dfas(self):
+        # Refereed without the refinement code: the result is a trimmed DFA
+        # with the input's language, and no two of its states, each made the
+        # start, accept the same language.
+        rng = random.Random(2026)
+        merged = pairs = 0
+        for _ in range(300):
+            states = [f"s{i}" for i in range(rng.randint(1, 8))]
+            labels = rng.choice(["a", "ab", "abc"])  # letters, so words referee labels
+            finals = {q for q in states if rng.random() < 0.4}
+            moves = {(q, c): rng.choice(states) for q in states for c in labels if rng.random() < 0.6}
+            if rng.random() < 0.5:  # a twin of one state takes some of its in-edges
+                q = rng.choice(states)
+                twin = q + "'"
+                moves.update({(twin, c): r for (p, c), r in list(moves.items()) if p == q})
+                moves.update({k: twin for k, r in moves.items() if r == q and rng.random() < 0.5})
+                finals |= {twin} if q in finals else set()
+                states.append(twin)
+            a = BlockAutomaton.make(
+                states=states,
+                initials=[states[0]],
+                finals=finals,
+                transitions=[(p, c, r) for (p, c), r in moves.items()],
+            )
+            m = minimize(a)
+            assert not m.states or is_deterministic(m)
+            assert trim(m) == m
+            assert distinguishing_word(a, m) is None
+            for p, q in itertools.combinations(sorted(m.states), 2):
+                rooted = [replace(m, initials=frozenset({x})) for x in (p, q)]
+                assert distinguishing_word(*rooted) is not None
+                pairs += 1
+            merged += len(m.states) < len(trim(a).states)
+        assert merged > 20 and pairs > 500
 
     def test_no_equivalent_state_pairs_left(self, corpus_automata):
         for a in corpus_automata:
@@ -445,7 +508,7 @@ class TestEquivalent:
         g = glushkov(parse("(x+y)*x" + "(x+y)" * 10)).automaton
         m = minimize(determinize(g))
         calls = []
-        for name in ("_minimize", "determinize", "_canonical"):
+        for name in ("_quotient", "determinize", "_canonical"):
             real = getattr(automaton, name)
 
             def counting(*args, real=real, name=name):
@@ -467,7 +530,7 @@ class TestEquivalent:
         monkeypatch.setattr(witnesses, "equivalent", equivalent_counted)
         assert witnesses.verify(WitnessSpec("hanwood_Mk", 6)).passed
         assert per_claim == [0, 0]
-        assert set(calls) == {"_minimize", "_canonical"}  # the minimality claim
+        assert set(calls) == {"_quotient", "_canonical"}  # the minimality claim
 
 
 class TestEnumerate:
@@ -526,6 +589,54 @@ class TestValidation:
     def test_alphabet_defaults_to_used_labels(self):
         a = BlockAutomaton.make(states={"p"}, transitions=[("p", "ab", "p")])
         assert {b.letters for b in a.alphabet} == {"ab"}
+
+
+class TestTrustedConstructor:
+    """Internal producers skip `make`'s coercion and checks: each output
+    must equal its rebuild through `make`, alphabet included, with the
+    value types `make` gives."""
+
+    def test_outputs_equal_their_validated_rebuild(self):
+        rng = random.Random(1107)
+        produced = Counter()
+
+        def check(name, out):
+            assert type(out.states) is frozenset and type(out.transitions) is frozenset
+            assert all(type(t) is Transition and type(t.label) is BlockSymbol for t in out.transitions)
+            rebuilt = BlockAutomaton.make(
+                states=out.states,
+                initials=out.initials,
+                finals=out.finals,
+                transitions=out.transitions,
+            )
+            assert rebuilt == out and rebuilt.alphabet == out.alphabet
+            produced[name] += 1
+
+        for _ in range(150):
+            expr = random_expression(rng, 7, 3)
+            marked = mark(expr)
+            g = glushkov(marked).automaton
+            check("glushkov", g)
+            assert g.alphabet == {p.block for p in marked.positions}
+            flat = expand_blocks(g)
+            check("expand_blocks", flat)
+            det = determinize(flat)
+            check("determinize", det)
+            m = minimize(det)
+            check("minimize", m)
+            if m.states:
+                check("s_cut", s_cut(m, consistent_symbols(m)))
+                for q in sorted(m.states):
+                    check("orbit_automaton", orbit_automaton(m, q))
+            a = _random_block_automaton(rng)
+            for name, op in (("trim", trim), ("standardize", standardize)):
+                check(name, op(a))
+            if a.width == 1:
+                check("determinize", determinize(a))
+            for q in sorted(a.states):
+                if eliminable(a, q):
+                    check("eliminate", eliminate(a, q))
+        assert min(produced.values()) > 50 and len(produced) == 9
 
 
 class TestValueTypes:

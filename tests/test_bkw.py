@@ -349,8 +349,8 @@ class TestOrbitReRooting:
             calls.append(x)
             return real(x)
 
-        real = bkw_module._minimize
-        monkeypatch.setattr(bkw_module, "_minimize", counting)
+        real = bkw_module._quotient
+        monkeypatch.setattr(bkw_module, "_quotient", counting)
         assert certify_k_block_language(a, 3)
         assert len(calls) == 1
         orbit = sorted(a.states - {"i", "zz_64"})
@@ -406,7 +406,7 @@ class TestSharedNodes:
 
         monkeypatch.setattr(bkw_module, "_bkw_step", counting("step", bkw_module._bkw_step))
         monkeypatch.setattr(
-            bkw_module, "consistent_symbols", counting("symbols", bkw_module.consistent_symbols)
+            bkw_module, "_consistent", counting("symbols", bkw_module._consistent)
         )
         rng = random.Random(31)
         inputs = [parse(nested_orbits(d)) for d in range(1, 6)]

@@ -466,6 +466,7 @@ class TestHashSeedIndependence:
             str(tmp_path / f"{name}.json") for name in files
         )
         recursing = "(c+[ba])*+([cca]*[cb])*"
+        content_model = "h(eps+t)m*(p+d+s)(b(eps+i))*(u+ol)*(x(y(eps+z))*)*e"
         corpus = [
             ["bkw", recursing],
             ["--text", "bkw", recursing],
@@ -485,6 +486,13 @@ class TestHashSeedIndependence:
             ["det", wide_file],
             ["equiv", left, right],
             ["--text", "equiv", left, right],
+            # orbits and refinement read one edge table; `det` returns its
+            # deterministic Glushkov input trimmed
+            *(
+                [verb, text]
+                for text in (content_model, nested_orbits(4))
+                for verb in ("bkw", "min", "det")
+            ),
         ]
         first = _run_corpus(corpus, 0)
         # a nested orbit, indented under its parent
@@ -492,4 +500,5 @@ class TestHashSeedIndependence:
         assert first.count("minimized: 1 states, 63 transitions") == 63
         assert '"from": "{q0,q2,q3}"' in first
         assert '"counterexample": "' in first and '\ncounterexample: "' in first
+        assert '"context": "orbit {o_10,{l_11,u_9}} from {l_11,u_9}, minimized"' in first
         assert _run_corpus(corpus, 1) == first

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple
 
 from .syntax import BlockSymbol
@@ -73,6 +74,27 @@ class BlockAutomaton:
     def sorted_transitions(self) -> list[Transition]:
         return sorted(self.transitions)
 
+    # The per-state edge index: built on first use and kept with the
+    # automaton, so every walk over one automaton shares it.  Read-only.
+    # Lists follow the iteration order of the transition set, which varies
+    # with the hash seed: sort a state's group where its order reaches output.
+
+    @cached_property
+    def out_edges(self) -> dict[str, list[Transition]]:
+        """Map every state to the transitions leaving it."""
+        out: dict = {q: [] for q in self.states}
+        for t in self.transitions:
+            out[t.source].append(t)
+        return out
+
+    @cached_property
+    def in_edges(self) -> dict[str, list[Transition]]:
+        """Map every state to the transitions entering it."""
+        into: dict = {q: [] for q in self.states}
+        for t in self.transitions:
+            into[t.target].append(t)
+        return into
+
 
 def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
     """Build an automaton from parts its caller made valid: `Transition`s
@@ -115,41 +137,13 @@ def fresh_name(taken: Container[str], base: str) -> str:
     return name
 
 
-# --- the per-state edge index ----------------------------------------------------
-#
-# Built in one pass per call and dropped on return.  Lists follow the
-# iteration order of the transition set, which varies with the hash seed:
-# sort a state's group where its order reaches output.
-
-
-def out_edges(a: BlockAutomaton) -> dict[str, list[Transition]]:
-    """Map every state to the transitions leaving it."""
-    out: dict = {q: [] for q in a.states}
-    for t in a.transitions:
-        out[t.source].append(t)
-    return out
-
-
-def in_edges(a: BlockAutomaton) -> dict[str, list[Transition]]:
-    """Map every state to the transitions entering it."""
-    into: dict = {q: [] for q in a.states}
-    for t in a.transitions:
-        into[t.target].append(t)
-    return into
-
-
 # --- acceptance and enumeration ----------------------------------------------
 
 
 def accepts(a: BlockAutomaton, word: str) -> bool:
-    """True iff the word factors into transition labels along an accepting path."""
-    return len(word) in _accepted_prefixes(a, word)
-
-
-def _accepted_prefixes(a: BlockAutomaton, word: str) -> set[int]:
-    """The lengths of the word's prefixes that `accepts` holds for, from one
-    walk over (state, letters read) pairs along one edge index."""
-    edges = out_edges(a)
+    """True iff the word factors into transition labels along an accepting
+    path: one walk over (state, letters read) pairs."""
+    edges = a.out_edges
     seen = {(q, 0) for q in a.initials}
     agenda = list(seen)
     while agenda:
@@ -160,7 +154,7 @@ def _accepted_prefixes(a: BlockAutomaton, word: str) -> set[int]:
                 if step not in seen:
                     seen.add(step)
                     agenda.append(step)
-    return {pos for state, pos in seen if state in a.finals}
+    return any((q, len(word)) in seen for q in a.finals)
 
 
 def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
@@ -169,7 +163,7 @@ def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     flat = expand_blocks(a)
-    edges = out_edges(flat)
+    edges = flat.out_edges
     out: list[str] = []
     level: dict[str, set] = {"": set(flat.initials)}
     for _ in range(maxlen + 1):
@@ -192,8 +186,8 @@ def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
 
 def trim(a: BlockAutomaton) -> BlockAutomaton:
     """Drop states that are not both accessible and co-accessible."""
-    forward = _reachable(out_edges(a), a.initials)
-    backward = _reachable(in_edges(a), a.finals, reverse=True)
+    forward = _reachable(a.out_edges, a.initials)
+    backward = _reachable(a.in_edges, a.finals, reverse=True)
     keep = forward & backward
     if len(keep) == len(a.states) and len({t.label for t in a.transitions}) == len(a.alphabet):
         return a
@@ -255,7 +249,7 @@ def standardize(a: BlockAutomaton) -> BlockAutomaton:
     States made unreachable are dropped.
     """
     start = fresh_name(a.states, "i'")
-    edges = out_edges(a)
+    edges = a.out_edges
     copied = {Transition(start, t.label, t.target) for q in a.initials for t in edges[q]}
     finals = set(a.finals)
     if a.initials & a.finals:
@@ -310,15 +304,9 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
 
 def is_deterministic(a: BlockAutomaton) -> bool:
     """Single initial state and at most one transition per (state, label)."""
-    if len(a.initials) != 1:
-        return False
-    seen = set()
-    for t in a.transitions:
-        key = (t.source, t.label)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return len(a.initials) == 1 and all(
+        len(row) == len({t.label for t in row}) for row in a.out_edges.values()
+    )
 
 
 def determinize(a: BlockAutomaton) -> BlockAutomaton:
@@ -333,7 +321,7 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
         return trim(a)
     if not a.initials:
         return EMPTY_AUTOMATON
-    edges = out_edges(a)
+    edges = a.out_edges
     start = frozenset(a.initials)
     subsets = [start]
     seen = {start}
@@ -392,7 +380,7 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
     a = trim(a)
     if not a.states:
         return a
-    edges = out_edges(a)
+    edges = a.out_edges
     rename = _quotient([(q, q in a.finals, edges[q]) for q in sorted(a.states)])
     return _trusted(
         rename.values(),
@@ -443,7 +431,7 @@ def _canonical(a: BlockAutomaton):
         return (0, frozenset(), frozenset())
     if not is_deterministic(a):
         raise ValueError("isomorphic expects deterministic automata")
-    edges = out_edges(a)
+    edges = a.out_edges
     (initial,) = a.initials
     number = {initial: 0}
     order = deque([initial])
@@ -453,8 +441,6 @@ def _canonical(a: BlockAutomaton):
             if t.target not in number:
                 number[t.target] = len(number)
                 order.append(t.target)
-    if len(number) != len(a.states):
-        raise ValueError("isomorphic expects trimmed automata")
     transitions = frozenset(
         (number[t.source], t.label, number[t.target]) for t in a.transitions
     )
@@ -484,7 +470,7 @@ def distinguishing_word(a: BlockAutomaton, b: BlockAutomaton) -> str | None:
     the answer is spelled out.
     """
     left, right = expand_blocks(a), expand_blocks(b)
-    left_edges, right_edges = out_edges(left), out_edges(right)
+    left_edges, right_edges = left.out_edges, right.out_edges
     leader: dict = {}
 
     def find(node):

@@ -13,10 +13,8 @@ from .automaton import (
     _trusted,
     determinize,
     expand_blocks,
-    in_edges,
     is_deterministic,
     minimize,
-    out_edges,
     postorder,
     trim,
 )
@@ -28,8 +26,9 @@ from .syntax import Empty, RegexAst
 # --- orbits --------------------------------------------------------------------
 #
 # The helpers read one per-state edge table (state -> its out-edges, as
-# `out_edges` builds it).  The BKW test builds one table per analysis and
-# cuts it in place; each public function builds one per call.
+# `BlockAutomaton.out_edges` holds it).  The public functions read the
+# automaton's own index and leave it unchanged; the BKW test builds one
+# table per analysis from its memo key and cuts it in place.
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ class OrbitDecomposition:
 
 def orbit_decomposition(a: BlockAutomaton) -> OrbitDecomposition:
     """Strongly connected components with gates and triviality flags."""
-    edges = out_edges(a)
-    entering = in_edges(a)
+    edges = a.out_edges
+    entering = a.in_edges
     components = _components(a.states, edges)
     orbits = []
     for component, gates in zip(components, _out_gates(components, edges, a.finals)):
@@ -138,7 +137,7 @@ class OrbitPropertyResult:
 def orbit_property(a: BlockAutomaton) -> OrbitPropertyResult:
     """All out-gates of each orbit agree on finality and on every transition
     leaving the orbit."""
-    edges = out_edges(a)
+    edges = a.out_edges
     components = _components(a.states, edges)
     return _orbit_property(components, _out_gates(components, edges, a.finals), edges, a.finals)
 
@@ -178,8 +177,7 @@ def consistent_symbols(a: BlockAutomaton) -> frozenset:
         return frozenset()
     if not is_deterministic(a):
         raise ValueError("consistent symbols are defined on deterministic automata")
-    edges = out_edges(a)
-    return _consistent([edges[f] for f in a.finals])
+    return _consistent([a.out_edges[f] for f in a.finals])
 
 
 def _consistent(rows: list) -> frozenset:
@@ -195,7 +193,7 @@ def s_cut(a: BlockAutomaton, symbols: Iterable) -> BlockAutomaton:
     cut_set = frozenset(symbols)
     if cut_set and not cut_set <= consistent_symbols(a):
         raise ValueError("s_cut needs a consistent symbol set")
-    edges = out_edges(a)
+    edges = dict(a.out_edges)  # cut a copy: the automaton's index is shared
     _cut(edges, a.finals, cut_set)
     kept = [t for row in edges.values() for t in row]
     return trim(_trusted(a.states, a.initials, a.finals, kept))
@@ -210,7 +208,7 @@ def _cut(edges: dict, finals: frozenset, symbols: frozenset) -> None:
 def orbit_automaton(a: BlockAutomaton, state: str) -> BlockAutomaton:
     """Restrict to the orbit of `state`, making it initial and the orbit's
     out-gates final."""
-    edges = out_edges(a)
+    edges = a.out_edges
     (component,) = [c for c in _components([state], edges) if state in c]
     (gates,) = _out_gates([component], edges, a.finals)
     members = set(component)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .automaton import BlockAutomaton, out_edges, postorder, transition_to_json
+from .automaton import BlockAutomaton, postorder, transition_to_json
 from .glushkov import glushkov
 from .syntax import Empty, RegexAst, language, mark, parse, to_text, width
 
@@ -64,7 +64,7 @@ def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     non-prefix outgoing labels (equal labels to distinct targets count)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    violations = tuple(sorted(_clashing_pairs(out_edges(a), str.startswith)))
+    violations = tuple(sorted(_clashing_pairs(a.out_edges, str.startswith)))
     verdict = a.width <= k and len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)
 
@@ -76,7 +76,7 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
         raise ValueError("k must be >= 1")
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    edges = out_edges(a)
+    edges = a.out_edges
     violations = []
     for t1, t2 in _clashing_pairs(edges, str.__eq__):
         if _common_word_exists(edges, t1.target, t2.target, k - 1):
@@ -92,7 +92,7 @@ def min_lookahead(a: BlockAutomaton) -> int | None:
         raise ValueError("lookahead determinism is defined on width-1 automata")
     if len(a.initials) != 1:
         return None
-    edges = out_edges(a)
+    edges = a.out_edges
     needed = 1
     for t1, t2 in _clashing_pairs(edges, str.__eq__):
         depth = _longest_common_depth(edges, t1.target, t2.target)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automaton import BlockAutomaton, Transition, _trusted, in_edges, out_edges, postorder
+from .automaton import BlockAutomaton, Transition, _trusted, postorder
 from .syntax import (
     BlockSymbol,
     Concat,
@@ -30,7 +30,7 @@ def eliminable(a: BlockAutomaton, state: str) -> bool:
         raise ValueError(f"unknown state: {state}")
     if state in a.initials or state in a.finals:
         return False
-    return not any(Transition(state, b, state) in a.transitions for b in a.alphabet)
+    return all(t.target != state for t in a.out_edges[state])
 
 
 def eliminate(a: BlockAutomaton, state: str) -> BlockAutomaton:
@@ -38,8 +38,8 @@ def eliminate(a: BlockAutomaton, state: str) -> BlockAutomaton:
     in/out transition pair (self-loops on neighbours included)."""
     if not eliminable(a, state):
         raise ValueError(f"state {state!r} is initial, final or has a self-loop")
-    incoming = in_edges(a)[state]
-    outgoing = out_edges(a)[state]
+    incoming = a.in_edges[state]
+    outgoing = a.out_edges[state]
     kept = set(a.transitions).difference(incoming, outgoing)
     for i in incoming:
         for o in outgoing:
@@ -63,7 +63,7 @@ def eliminate_set(a: BlockAutomaton, states: Iterable[str]) -> BlockAutomaton:
 
 
 def _induced_cycle(a: BlockAutomaton, subset: set) -> bool:
-    edges = out_edges(a)
+    edges = a.out_edges
 
     def successors(q):
         return [t.target for t in edges[q] if t.target in subset and t.target != q]

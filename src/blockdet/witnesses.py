@@ -7,7 +7,7 @@ from itertools import combinations
 
 from .automaton import (
     BlockAutomaton,
-    _accepted_prefixes,
+    accepts,
     equivalent,
     is_deterministic,
     isomorphic,
@@ -268,7 +268,7 @@ def _verify_block(k: int) -> list[Claim]:
         Claim("the block expression specifies L(A_k)", equivalent(glushkov(expr).automaton, ak)),
         Claim(
             "b^m (m >= 1) is accepted only for m = k",
-            _accepted_prefixes(ak, "b" * (k + 2)) - {0} == {k},
+            all(accepts(ak, "b" * m) == (m == k) for m in range(1, k + 3)),
         ),
     ]
     if k >= 2:

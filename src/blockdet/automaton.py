@@ -8,6 +8,7 @@ labels actually used.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,10 +75,11 @@ class BlockAutomaton:
     def sorted_transitions(self) -> list[Transition]:
         return sorted(self.transitions)
 
-    # The per-state edge index: built on first use and kept with the
-    # automaton, so every walk over one automaton shares it.  Read-only.
-    # Lists follow the iteration order of the transition set, which varies
-    # with the hash seed: sort a state's group where its order reaches output.
+    # The per-state edge index and the lookahead table: built on first use
+    # and kept with the automaton, so every walk over one automaton shares
+    # them.  Read-only.  Lists follow the iteration order of the transition
+    # set, which varies with the hash seed: sort a state's group where its
+    # order reaches output.
 
     @cached_property
     def out_edges(self) -> dict[str, list[Transition]]:
@@ -94,6 +96,14 @@ class BlockAutomaton:
         for t in self.transitions:
             into[t.target].append(t)
         return into
+
+    @cached_property
+    def common_depths(self) -> array:
+        """For each pair of same-label transitions leaving one state, in the
+        order of ``_clashing_pairs(self.out_edges, str.__eq__)``: the length
+        of the longest label word that both targets read, or -1 when they
+        read common words of every length."""
+        return _common_depths(self)
 
 
 def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
@@ -239,6 +249,102 @@ def postorder(roots: Iterable, successors) -> list | None:
                 finished.add(node)
                 order.append(node)
     return order
+
+
+# --- clashing pairs and the pair graph -----------------------------------------
+
+
+def _clashing_pairs(edges: dict, clash):
+    """Pairs (t1, t2) of one state's out-edges, t1 before t2 in sorted order,
+    with ``clash(t2's label, t1's label)``.
+
+    `clash` must hold only for labels equal to or extending t1's: sorted,
+    those follow t1 in one run, so the scan stops at the first label that
+    does not clash."""
+    for leaving in edges.values():
+        ts = sorted(leaving)
+        for i, t1 in enumerate(ts):
+            j = i + 1
+            while j < len(ts) and clash(ts[j].label, t1.label):
+                yield t1, ts[j]
+                j += 1
+
+
+def _common_depths(a: BlockAutomaton) -> array:
+    """The table behind `BlockAutomaton.common_depths`: one iterative
+    depth-first walk of the pair graph from the targets of every clashing
+    pair.  The graph's nodes are unordered state pairs; its edges read one
+    label on both sides.  A node's depth is its longest path, -1 when a
+    cycle is reachable.
+
+    A finished pair is kept only where two walks can meet.  Any other pair
+    is entered from one predecessor pair, or also as the targets of one
+    clashing pair, so no pair is walked more than twice."""
+    edges = a.out_edges
+    into = a.in_edges
+    finished: dict = {}
+
+    def successors(p, q):
+        """The pairs one label on from (p, q).  A list, not a generator:
+        every frame on the walk's path holds one, and a list is smaller."""
+        found = []
+        for i, t1 in enumerate(edges[p]):
+            for t2 in edges[q][i:] if p == q else edges[q]:
+                if t1.label == t2.label:
+                    x, y = t1.target, t2.target
+                    found.append((x, y) if x <= y else (y, x))
+        return iter(found)
+
+    def meets(pair) -> bool:
+        """More than one pair of edges enters the pair."""
+        return len(into[pair[0]]) * len(into[pair[1]]) > 1
+
+    def walk(root) -> int:
+        path = {root}
+        stack = [[root, successors(*root), 0]]  # pair, successors left, depth so far
+        while True:
+            frame = stack[-1]
+            for pair in frame[1]:
+                x, y = pair
+                if not edges[x] or not edges[y]:
+                    depth = 0
+                else:
+                    depth = finished.get(pair)
+                    if depth is None:
+                        if pair not in path:
+                            path.add(pair)
+                            stack.append([pair, successors(x, y), 0])
+                            break
+                        depth = -1  # met again on the path: a cycle
+                    if depth < 0:  # so every pair on the path reads a cycle
+                        for pair, _, _ in stack:
+                            if meets(pair):
+                                finished[pair] = -1
+                        return -1
+                if depth >= frame[2]:
+                    frame[2] = depth + 1
+            else:
+                pair, _, depth = stack.pop()
+                path.remove(pair)
+                if meets(pair):
+                    finished[pair] = depth
+                if not stack:
+                    return depth
+                if depth >= stack[-1][2]:
+                    stack[-1][2] = depth + 1
+
+    # A depth stays below the number of state pairs, n(n + 1)/2, which fits
+    # 32 bits up to 65,535 states.
+    depths = array("i" if len(a.states) < 1 << 16 else "q")
+    for t1, t2 in _clashing_pairs(edges, str.__eq__):
+        x, y = t1.target, t2.target
+        if not edges[x] or not edges[y]:
+            depths.append(0)
+            continue
+        root = (x, y) if x <= y else (y, x)
+        depth = finished.get(root)
+        depths.append(walk(root) if depth is None else depth)
+    return depths
 
 
 def standardize(a: BlockAutomaton) -> BlockAutomaton:

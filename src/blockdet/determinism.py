@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .automaton import BlockAutomaton, postorder, transition_to_json
+from .automaton import BlockAutomaton, _clashing_pairs, transition_to_json
 from .glushkov import glushkov
 from .syntax import Empty, RegexAst, language, mark, parse, to_text, width
 
@@ -71,18 +71,15 @@ def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
 
 def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     """No two same-labelled branches from a state may read a common word of
-    length k-1; decided by depth-(k-1) reachability in the pair graph."""
+    length k-1; read from the automaton's `common_depths`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    edges = a.out_edges
-    violations = []
-    for t1, t2 in _clashing_pairs(edges, str.__eq__):
-        if _common_word_exists(edges, t1.target, t2.target, k - 1):
-            violations.append((t1, t2))
+    pairs = zip(_clashing_pairs(a.out_edges, str.__eq__), a.common_depths)
+    violations = tuple(sorted(pair for pair, depth in pairs if depth < 0 or depth >= k - 1))
     verdict = len(a.initials) == 1 and not violations
-    return CheckResult(k, verdict, tuple(sorted(violations)))
+    return CheckResult(k, verdict, violations)
 
 
 def min_lookahead(a: BlockAutomaton) -> int | None:
@@ -92,69 +89,10 @@ def min_lookahead(a: BlockAutomaton) -> int | None:
         raise ValueError("lookahead determinism is defined on width-1 automata")
     if len(a.initials) != 1:
         return None
-    edges = a.out_edges
-    needed = 1
-    for t1, t2 in _clashing_pairs(edges, str.__eq__):
-        depth = _longest_common_depth(edges, t1.target, t2.target)
-        if depth is None:
-            return None
-        needed = max(needed, depth + 2)
-    return needed
-
-
-def _clashing_pairs(edges: dict, clash):
-    """Pairs (t1, t2) of one state's out-edges, t1 before t2 in sorted order,
-    with ``clash(t2's label, t1's label)``.
-
-    `clash` must hold only for labels equal to or extending t1's: sorted,
-    those follow t1 in one run, so the scan stops at the first label that
-    does not clash."""
-    for leaving in edges.values():
-        ts = sorted(leaving)
-        for i, t1 in enumerate(ts):
-            j = i + 1
-            while j < len(ts) and clash(ts[j].label, t1.label):
-                yield t1, ts[j]
-                j += 1
-
-
-def _pair_successors(edges, pair):
-    p, q = pair
-    for t1 in edges[p]:
-        for t2 in edges[q]:
-            if t1.label == t2.label:
-                pt, qt = t1.target, t2.target
-                yield (pt, qt) if pt <= qt else (qt, pt)
-
-
-def _common_word_exists(edges, q1, q2, length: int) -> bool:
-    frontier = {(q1, q2) if q1 <= q2 else (q2, q1)}
-    for _ in range(length):
-        frontier = {nxt for pair in frontier for nxt in _pair_successors(edges, pair)}
-        if not frontier:
-            return False
-    return True
-
-
-def _longest_common_depth(edges, q1, q2) -> int | None:
-    """Longest common readable word from the pair, or None if unbounded.
-
-    Explores the product graph; a reachable cycle means words of every
-    length are readable from both sides."""
-    seed = (q1, q2) if q1 <= q2 else (q2, q1)
-    graph: dict = {}
-
-    def successors(pair):
-        graph[pair] = set(_pair_successors(edges, pair))
-        return graph[pair]
-
-    order = postorder([seed], successors)
-    if order is None:
+    depths = a.common_depths
+    if -1 in depths:
         return None
-    depth: dict = {}
-    for pair in order:
-        depth[pair] = max((1 + depth[nxt] for nxt in graph[pair]), default=0)
-    return depth[seed]
+    return max(depths, default=-1) + 2
 
 
 # --- expression-level checks ------------------------------------------------------

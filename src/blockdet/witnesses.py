@@ -19,7 +19,7 @@ from .bkw import certify_k_block_language, minimal_dfa
 from .determinism import (
     is_k_block_deterministic,
     is_k_block_deterministic_expression,
-    is_k_lookahead_deterministic_expression,
+    is_k_lookahead_deterministic,
 )
 from .glushkov import glushkov
 from .syntax import RegexAst, parse
@@ -283,8 +283,8 @@ def _verify_block(k: int) -> list[Claim]:
 
 def _verify_unary(j: int) -> list[Claim]:
     aj = unary_aj(j)
-    ej = unary_ej_expr(j)
-    min_dfa = minimal_dfa(ej)
+    g = glushkov(unary_ej_expr(j)).automaton
+    min_dfa = minimal_dfa(g)
     return [
         Claim("A_j is deterministic and trimmed", is_deterministic(aj) and trim(aj) == aj),
         Claim(
@@ -294,11 +294,11 @@ def _verify_unary(j: int) -> list[Claim]:
         Claim("the minimal DFA of E_j is isomorphic to A_j", isomorphic(min_dfa, aj)),
         Claim(
             "E_j is (j+1)-lookahead deterministic",
-            bool(is_k_lookahead_deterministic_expression(ej, j + 1)),
+            bool(is_k_lookahead_deterministic(g, j + 1)),
         ),
         Claim(
             "E_j is not j-lookahead deterministic",
-            not is_k_lookahead_deterministic_expression(ej, j),
+            not is_k_lookahead_deterministic(g, j),
         ),
     ]
 

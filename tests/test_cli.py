@@ -329,20 +329,43 @@ class TestErrors:
         assert data == run_json(capsys, "parse", "a")[1]
 
     def test_long_chains_min_lookahead(self, capsys, tmp_path):
-        # Two a-chains of 1500 and 1499 states off one initial state: both
-        # branches read a^1498 after the shared first letter and no more.
-        xs = [f"x{j}" for j in range(1, 1501)]
-        ys = [f"y{j}" for j in range(1, 1500)]
-        transitions = [("i", "a", xs[0]), ("i", "a", ys[0])]
-        transitions += [(u, "a", v) for chain in (xs, ys) for u, v in zip(chain, chain[1:])]
-        a = BlockAutomaton.make(
-            states=["i", *xs, *ys], initials=["i"], finals=[xs[-1], ys[-1]], transitions=transitions
-        )
         path = tmp_path / "chains.json"
-        path.write_text(json.dumps(to_json(a)))
+        path.write_text(json.dumps(to_json(_two_chains())))
         code, data = run_json(capsys, "check", "min-lookahead", str(path))
         assert code == 0
         assert data["min_lookahead"] == 1500
+        code, data = run_json(capsys, "check", "lookahead", str(path), "-k", "1499")
+        assert code == 1
+        assert [[t["to"] for t in pair] for pair in data["k_lookahead"]["violations"]] == [["x1", "y1"]]
+        code, data = run_json(capsys, "check", "lookahead", str(path), "-k", "1500")
+        assert code == 0
+        assert data["k_lookahead"]["violations"] == []
+
+    def test_lookahead_needs_no_recursion(self, tmp_path):
+        # The chains above and two a-loops that read a^n for every n, under
+        # a recursion limit of 60.
+        loops = BlockAutomaton.make(
+            states={"i", "p", "q"},
+            initials={"i"},
+            finals={"p", "q"},
+            transitions=[("i", "a", "p"), ("i", "a", "q"), ("p", "a", "p"), ("q", "a", "q")],
+        )
+        paths = []
+        for name, a in [("chains", _two_chains()), ("loops", loops)]:
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(to_json(a)))
+        src = str(Path(blockdet.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_RECURSION_SCRIPT, *map(str, paths)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout) == [[1500, 1, 0], [None, 1, 1]]
 
     @pytest.mark.parametrize("depth", [1, 40, 900, 3000])
     def test_deeply_nested_ast_json(self, capsys, depth):
@@ -391,6 +414,37 @@ class TestErrors:
         code, out, err = run(capsys, "check", "one-unambiguous", "a")
         assert code == 2
         assert err.startswith("blockdet: input too large to process")
+
+
+def _two_chains() -> BlockAutomaton:
+    """Two a-chains of 1500 and 1499 states off one initial state: both
+    branches read a^1498 after the shared first letter and no more."""
+    xs = [f"x{j}" for j in range(1, 1501)]
+    ys = [f"y{j}" for j in range(1, 1500)]
+    transitions = [("i", "a", xs[0]), ("i", "a", ys[0])]
+    transitions += [(u, "a", v) for chain in (xs, ys) for u, v in zip(chain, chain[1:])]
+    return BlockAutomaton.make(
+        states=["i", *xs, *ys], initials=["i"], finals=[xs[-1], ys[-1]], transitions=transitions
+    )
+
+
+# Per automaton: the least lookahead, and the violation counts at k = 1499
+# and k = 1500, each computed under the limit on a freshly read automaton.
+_NO_RECURSION_SCRIPT = """
+import json, sys
+from blockdet import from_json, is_k_lookahead_deterministic, min_lookahead
+texts = [open(path).read() for path in sys.argv[1:]]
+sys.setrecursionlimit(60)
+answers = []
+for text in texts:
+    read = lambda: from_json(json.loads(text))
+    answers.append([
+        min_lookahead(read()),
+        len(is_k_lookahead_deterministic(read(), 1499).violations),
+        len(is_k_lookahead_deterministic(read(), 1500).violations),
+    ])
+print(json.dumps(answers))
+"""
 
 
 _CORPUS_SCRIPT = """

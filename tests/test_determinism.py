@@ -18,6 +18,7 @@ from blockdet import (
     report_to_json,
     width,
 )
+from blockdet.automaton import postorder
 from blockdet.determinism import DeterminismReport
 from blockdet.witnesses import block_bk
 
@@ -166,6 +167,38 @@ class TestMinLookahead:
                 if least > 1:
                     assert not is_k_lookahead_deterministic(a, least - 1).verdict
 
+    def test_matches_per_pair_walks(self):
+        # The reference walks each clashing pair on its own, as blockdet did
+        # before the table: a capped breadth-first search per k, and one
+        # depth-first walk per pair for the least k.
+        rng = random.Random(1313)
+        seen = {"unbounded": 0, "deep": 0, "met": 0}
+        for _ in range(400):
+            a = _random_width1_nfa(rng)
+            pairs = _reference_clashes(a)
+            for k in range(1, 7):
+                violations = tuple(
+                    sorted(
+                        (t1, t2)
+                        for t1, t2 in pairs
+                        if _common_word_exists(a, t1.target, t2.target, k - 1)
+                    )
+                )
+                result = is_k_lookahead_deterministic(a, k)
+                assert result.violations == violations, a
+                assert result.verdict == (len(a.initials) == 1 and not violations), a
+            depths = [_longest_common_depth(a, t1.target, t2.target) for t1, t2 in pairs]
+            if len(a.initials) != 1 or None in depths:
+                least = None
+            else:
+                least = max([1] + [d + 2 for d in depths])
+            assert min_lookahead(a) == least, a
+            seen["unbounded"] += None in depths
+            seen["deep"] += any(d is not None and d >= 2 for d in depths)
+            targets = {t.target for pair in pairs for t in pair}
+            seen["met"] += any(len(a.in_edges[q]) >= 2 for q in targets)
+        assert min(seen.values()) > 50, seen
+
 
 class TestExpressionChecks:
     def test_block_examples(self):
@@ -289,3 +322,87 @@ def _literals(expr):
     from blockdet.syntax import literal_symbols
 
     return literal_symbols(expr)
+
+
+def _random_width1_nfa(rng: random.Random) -> BlockAutomaton:
+    """Four to nine states over {a,b}, half of them acyclic, with one to
+    three initials.  Edges into one or two hub states, and pairs of branches
+    that converge on one state, make many clashing pairs meet."""
+    n = rng.randint(4, 9)
+    states = [f"q{i}" for i in range(n)]
+    acyclic = rng.random() < 0.5
+
+    def ends(count):
+        """`count` state indices, ascending when the automaton is acyclic."""
+        picked = rng.sample(range(n), count)
+        return sorted(picked) if acyclic else picked
+
+    def label():
+        return rng.choice("aab")
+
+    transitions = []
+    for _ in range(rng.randint(n, 3 * n)):
+        i, j = ends(2)
+        transitions.append((states[i], label(), states[j]))
+    for _ in range(rng.randint(1, 2)):  # a hub
+        hub = rng.randrange(1, n)
+        for _ in range(rng.randint(2, 5)):
+            i = rng.randrange(hub) if acyclic else rng.randrange(n)
+            transitions.append((states[i], label(), states[hub]))
+    for _ in range(rng.randint(1, 3)):  # two branches converging
+        s, x, y, z = (states[i] for i in ends(4))
+        first, second = label(), label()
+        transitions += [(s, first, x), (s, first, y), (x, second, z), (y, second, z)]
+    return BlockAutomaton.make(
+        states=states,
+        initials=rng.sample(states, rng.choice([1, 1, 1, 2, 3])),
+        finals=rng.sample(states, rng.randint(1, n)),
+        transitions=transitions,
+    )
+
+
+# The per-pair walks that decided lookahead determinism before the table.
+
+
+def _reference_clashes(a: BlockAutomaton) -> list:
+    return [
+        (t1, t2)
+        for t1 in a.transitions
+        for t2 in a.transitions
+        if t1 < t2 and t1.source == t2.source and t1.label == t2.label
+    ]
+
+
+def _pair_successors(a: BlockAutomaton, pair):
+    p, q = pair
+    for t1 in a.out_edges[p]:
+        for t2 in a.out_edges[q]:
+            if t1.label == t2.label:
+                pt, qt = t1.target, t2.target
+                yield (pt, qt) if pt <= qt else (qt, pt)
+
+
+def _common_word_exists(a: BlockAutomaton, q1, q2, length: int) -> bool:
+    frontier = {(q1, q2) if q1 <= q2 else (q2, q1)}
+    for _ in range(length):
+        frontier = {nxt for pair in frontier for nxt in _pair_successors(a, pair)}
+        if not frontier:
+            return False
+    return True
+
+
+def _longest_common_depth(a: BlockAutomaton, q1, q2) -> int | None:
+    seed = (q1, q2) if q1 <= q2 else (q2, q1)
+    graph: dict = {}
+
+    def successors(pair):
+        graph[pair] = set(_pair_successors(a, pair))
+        return graph[pair]
+
+    order = postorder([seed], successors)
+    if order is None:
+        return None
+    depth: dict = {}
+    for pair in order:
+        depth[pair] = max((1 + depth[nxt] for nxt in graph[pair]), default=0)
+    return depth[seed]

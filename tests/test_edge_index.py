@@ -1,5 +1,6 @@
-"""The per-state edge index that `BlockAutomaton` builds once and keeps:
-no public function may change it, and no cache may keep it alive."""
+"""The per-state edge index and the lookahead table that `BlockAutomaton`
+builds once and keeps: no public function may change them, and no cache may
+keep them alive."""
 
 import gc
 import random
@@ -36,6 +37,7 @@ from blockdet import (
     standardize,
     trim,
 )
+from blockdet.automaton import _clashing_pairs
 
 from conftest import BLOCK_EXPRESSION_TEXTS, random_expression
 
@@ -55,6 +57,11 @@ def _fresh_in(a):
     for t in a.transitions:
         into[t.target].append(t)
     return into
+
+
+def _depth_map(a):
+    """The lookahead table as a map from clashing pair to common depth."""
+    return dict(zip(_clashing_pairs(a.out_edges, str.__eq__), a.common_depths))
 
 
 def _random_automaton(rng):
@@ -130,7 +137,7 @@ def _exercise(a, cuts):
 class TestSharedEdgeIndex:
     def test_no_public_function_changes_the_index(self):
         cuts: list = []
-        checked = 0
+        checked = tables = 0
         for a in _corpus():
             # Built before the calls, so that they all read this one.
             assert a.out_edges == _fresh_out(a) and a.in_edges == _fresh_in(a)
@@ -138,9 +145,18 @@ class TestSharedEdgeIndex:
                 assert b.out_edges == _fresh_out(b)
                 assert b.in_edges == _fresh_in(b)
                 checked += 1
+            # The lookahead functions refuse wider automata before reading
+            # the table.
+            assert ("common_depths" in a.__dict__) == (a.width <= 1)
+            if a.width <= 1:
+                table = a.common_depths
+                assert a.common_depths is table
+                copy = BlockAutomaton.make(a.states, a.initials, a.finals, a.transitions, a.alphabet)
+                assert _depth_map(a) == _depth_map(copy)
+                tables += bool(table)
         # Each S-cut drops edges from the final states' rows, so enough of
         # them catch a cut made in place.
-        assert len(cuts) > 20 and checked > 1000
+        assert len(cuts) > 20 and checked > 1000 and tables > 20
 
     def test_index_is_built_once(self):
         a = glushkov(parse("(a+[bc])*a")).automaton
@@ -153,12 +169,12 @@ class TestSharedEdgeIndex:
             states={"p", "q", "r"},
             initials={"p"},
             finals={"q"},
-            transitions=[("p", "a", "q"), ("q", "b", "p"), ("r", "a", "q")],
+            transitions=[("p", "a", "q"), ("p", "a", "r"), ("q", "b", "p"), ("r", "a", "q")],
         )
         derived = minimize(determinize(trim(a)))
         _exercise(a, [])
         _exercise(derived, [])
-        refs = [weakref.ref(a), weakref.ref(derived)]
+        refs = [weakref.ref(a), weakref.ref(derived), weakref.ref(a.common_depths)]
         del a, derived
         gc.collect()
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]

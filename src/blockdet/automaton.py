@@ -652,14 +652,18 @@ def from_json(data: Mapping) -> BlockAutomaton:
 
 
 def to_dot(a: BlockAutomaton) -> str:
+    def quote(name: str) -> str:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph automaton {", "  rankdir=LR;"]
     for q in sorted(a.states):
         shape = "doublecircle" if q in a.finals else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
+        lines.append(f"  {quote(q)} [shape={shape}];")
     for n, q in enumerate(sorted(a.initials)):
-        lines.append(f'  "__start{n}" [shape=point, style=invis];')
-        lines.append(f'  "__start{n}" -> "{q}";')
+        start = quote(fresh_name(a.states, f"__start{n}"))
+        lines.append(f"  {start} [shape=point, style=invis];")
+        lines.append(f"  {start} -> {quote(q)};")
     for t in a.sorted_transitions():
-        lines.append(f'  "{t.source}" -> "{t.target}" [label="{t.label.letters}"];')
+        lines.append(f'  {quote(t.source)} -> {quote(t.target)} [label="{t.label.letters}"];')
     lines.append("}")
     return "\n".join(lines)

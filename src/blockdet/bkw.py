@@ -25,10 +25,11 @@ from .syntax import Empty, RegexAst
 
 # --- orbits --------------------------------------------------------------------
 #
-# The helpers read one per-state edge table (state -> its out-edges, as
-# `BlockAutomaton.out_edges` holds it).  The public functions read the
-# automaton's own index and leave it unchanged; the BKW test builds one
-# table per analysis from its memo key and cuts it in place.
+# One Kosaraju pass over a per-state edge table (state -> its out-edges, as
+# `BlockAutomaton.out_edges` holds it) yields every orbit with its out-gates
+# and triviality.  The public functions read the automaton's own index and
+# leave it unchanged; the BKW test builds one table per analysis from its
+# memo key and cuts it in place.
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,24 @@ class OrbitDecomposition:
 
 def orbit_decomposition(a: BlockAutomaton) -> OrbitDecomposition:
     """Strongly connected components with gates and triviality flags."""
-    edges = a.out_edges
     entering = a.in_edges
-    components = _components(a.states, edges)
     orbits = []
-    for component, gates in zip(components, _out_gates(components, edges, a.finals)):
-        members = frozenset(component)
+    for states, members, out, trivial in _orbits(a.states, a.out_edges, a.finals):
         in_gates = frozenset(
             q
-            for q in component
+            for q in states
             if q in a.initials or any(t.source not in members for t in entering[q])
         )
-        orbits.append(Orbit(members, _trivial(component, edges), in_gates, frozenset(gates)))
+        orbits.append(Orbit(members, trivial, in_gates, frozenset(out)))
     return OrbitDecomposition(tuple(orbits))
 
 
-def _components(roots: Iterable[str], edges: dict) -> list[list]:
-    """The strongly connected components of the states reachable from the
-    roots, each sorted, in sorted order.
+def _orbits(roots: Iterable[str], edges: dict, finals: frozenset) -> list[tuple]:
+    """The orbits (strongly connected components) of the states reachable
+    from the roots, in sorted order, each as (states, members, out-gates,
+    trivial): its sorted states, their frozenset, its sorted states that are
+    final or have an edge leaving it, and whether it is a single state
+    without a self-loop.
 
     Kosaraju's two passes.  The forward pass is one `postorder` walk that
     hides every state entered earlier, which is on the path or finished,
@@ -90,37 +91,26 @@ def _components(roots: Iterable[str], edges: dict) -> list[list]:
     for q in order:
         for t in edges[q]:
             entering[t.target].append(q)
-    components: list[list] = []
+    orbits: list[tuple] = []
     swept: set = set()
     for root in reversed(order):
         if root not in swept:
             swept.add(root)
-            component = [root]
-            for q in component:  # grows while it is swept
+            states = [root]
+            for q in states:  # grows while it is swept
                 for p in entering[q]:
                     if p not in swept:
                         swept.add(p)
-                        component.append(p)
-            component.sort()
-            components.append(component)
-    components.sort()
-    return components
-
-
-def _trivial(component: list, edges: dict) -> bool:
-    """A single state without a self-loop."""
-    return len(component) == 1 and all(t.target != component[0] for t in edges[component[0]])
-
-
-def _out_gates(components: list, edges: dict, finals: frozenset) -> list[list]:
-    """Per component, its states that are final or have an edge leaving it."""
-    gates = []
-    for component in components:
-        members = set(component)
-        gates.append(
-            [q for q in component if q in finals or any(t.target not in members for t in edges[q])]
-        )
-    return gates
+                        states.append(p)
+            states.sort()
+            members = frozenset(states)
+            out = [
+                q for q in states if q in finals or any(t.target not in members for t in edges[q])
+            ]
+            trivial = len(states) == 1 and all(t.target != root for t in edges[root])
+            orbits.append((states, members, out, trivial))
+    orbits.sort()  # orbits are disjoint, so their first states decide
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -137,18 +127,13 @@ class OrbitPropertyResult:
 def orbit_property(a: BlockAutomaton) -> OrbitPropertyResult:
     """All out-gates of each orbit agree on finality and on every transition
     leaving the orbit."""
-    edges = a.out_edges
-    components = _components(a.states, edges)
-    return _orbit_property(components, _out_gates(components, edges, a.finals), edges, a.finals)
+    return _orbit_property(_orbits(a.states, a.out_edges, a.finals), a.out_edges, a.finals)
 
 
-def _orbit_property(
-    components: list, gates: list, edges: dict, finals: frozenset
-) -> OrbitPropertyResult:
-    for component, out in zip(components, gates):
+def _orbit_property(orbits: list, edges: dict, finals: frozenset) -> OrbitPropertyResult:
+    for _, members, out, _ in orbits:
         if len(out) < 2:
             continue
-        members = set(component)
         leaving = {
             g: {(t.label, t.target) for t in edges[g] if t.target not in members} for g in out
         }
@@ -158,13 +143,13 @@ def _orbit_property(
                     continue
                 if p in finals and q not in finals:
                     return OrbitPropertyResult(
-                        False, frozenset(component), (p, q), f"{p} is final but {q} is not"
+                        False, members, (p, q), f"{p} is final but {q} is not"
                     )
                 for b, r in sorted(leaving[p]):
                     if (b, r) not in leaving[q]:
                         return OrbitPropertyResult(
                             False,
-                            frozenset(component),
+                            members,
                             (p, q),
                             f"{p} leaves via {p} -{b.letters}-> {r} but {q} does not",
                         )
@@ -208,12 +193,12 @@ def _cut(edges: dict, finals: frozenset, symbols: frozenset) -> None:
 def orbit_automaton(a: BlockAutomaton, state: str) -> BlockAutomaton:
     """Restrict to the orbit of `state`, making it initial and the orbit's
     out-gates final."""
+    if state not in a.states:
+        raise ValueError(f"unknown state: {state}")
     edges = a.out_edges
-    (component,) = [c for c in _components([state], edges) if state in c]
-    (gates,) = _out_gates([component], edges, a.finals)
-    members = set(component)
-    inside = [t for q in component for t in edges[q] if t.target in members]
-    return _trusted(component, {state}, gates, inside)
+    ((states, members, out, _),) = [o for o in _orbits([state], edges, a.finals) if state in o[1]]
+    inside = [t for q in states for t in edges[q] if t.target in members]
+    return _trusted(states, {state}, out, inside)
 
 
 # --- the BKW test -----------------------------------------------------------------
@@ -291,34 +276,31 @@ def _bkw_step(key: tuple) -> tuple[dict, list]:
     _cut(edges, finals, symbols)
     # A shortest path to a final state leaves no final state, so the cut
     # keeps every state co-accessible: its trim is what the initial reaches.
-    components = _components(initials, edges)
-    if len(components) == 1 and not symbols and not _trivial(components[0], edges):
+    orbits = _orbits(initials, edges, finals)
+    if len(orbits) == 1 and not symbols and not orbits[0][3]:
         return {**fields, "orbit_property_holds": None, "failure": "no-consistent-symbol"}, []
     fields["consistent"] = tuple(sorted(b.letters for b in symbols))
-    gates = _out_gates(components, edges, finals)
-    holds = _orbit_property(components, gates, edges, finals)
+    holds = _orbit_property(orbits, edges, finals)
     if not holds:
         fields.update(orbit_property_holds=False, failure="orbit-property",
                       violating_orbit=holds.orbit, violating_pair=holds.pair)
         return fields, []
     children = []
-    for component, out in zip(components, gates):
-        if _trivial(component, edges):
+    for states, members, out, trivial in orbits:
+        if trivial:
             continue
         # An orbit is strongly connected, so its automaton is trimmed from
         # every start, and refinement ignores the start: refine once, then
         # re-root.  States with one merged state share one key.
-        members, gate_set = set(component), set(out)
-        rows = [
-            (q, q in gate_set, [t for t in edges[q] if t.target in members]) for q in component
-        ]
+        gates = set(out)
+        rows = [(q, q in gates, [t for t in edges[q] if t.target in members]) for q in states]
         rename = _quotient(rows)
         inside = frozenset(
             [Transition(rename[q], t.label, rename[t.target]) for q, _, row in rows for t in row]
         )
         merged_finals = frozenset([rename[q] for q in out])
-        label = "{" + ",".join(component) + "}"
-        for q in component:
+        label = "{" + ",".join(states) + "}"
+        for q in states:
             key = (inside, frozenset([rename[q]]), merged_finals)
             children.append((f"orbit {label} from {q}, minimized", key))
     return fields, children

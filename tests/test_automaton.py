@@ -694,6 +694,24 @@ class TestSerialization:
         assert '"i" -> "1" [label="a"];' in dot
         assert "__start0" in dot
 
+    def test_dot_escapes_names_and_keeps_start_nodes_apart(self):
+        a = BlockAutomaton.make(
+            states={'a"b', "x\\y", "__start0"},
+            initials={"__start0", 'a"b'},
+            finals={"x\\y"},
+            transitions=[('a"b', "a", "x\\y"), ("__start0", "b", 'a"b')],
+        )
+        lines = to_dot(a).splitlines()
+        assert '  "a\\"b" [shape=circle];' in lines
+        assert '  "x\\\\y" [shape=doublecircle];' in lines
+        assert '  "a\\"b" -> "x\\\\y" [label="a"];' in lines
+        # the state __start0 is drawn, and the invisible start nodes avoid its name
+        assert '  "__start0" [shape=circle];' in lines
+        assert '  "__start0\'" [shape=point, style=invis];' in lines
+        assert '  "__start0\'" -> "__start0";' in lines
+        assert '  "__start1" -> "a\\"b";' in lines
+        assert '  "__start0" [shape=point, style=invis];' not in lines
+
 
 def _per_letter_subsets(a):
     """States, transitions, initials and finals of the trimmed subset

@@ -81,10 +81,12 @@ class TestOrbitDecomposition:
 
     def test_matches_reachability_quotient(self):
         # Cross-check the SCC computation against the mutual-reachability
-        # definition, and each orbit's flags against theirs, on random
-        # automata of up to 30 states: sparse ones (mostly trivial orbits and
-        # chains of small cycles), medium ones and dense, many-cycle ones.
+        # definition, and each orbit's flags, orbit automata and the orbit
+        # property against theirs, on random automata of up to 30 states:
+        # sparse ones (mostly trivial orbits and chains of small cycles),
+        # medium ones and dense, many-cycle ones.
         rng = random.Random(4242)
+        failing = 0
         for run in range(300):
             n = rng.randint(1, 30)
             low, high = [(0, n), (n, 2 * n), (2 * n, 5 * n)][run % 3]
@@ -116,12 +118,22 @@ class TestOrbitDecomposition:
                     if q in a.initials
                     or any(t.target == q and t.source not in o.states for t in a.transitions)
                 }
-                assert o.out_gates == {
-                    q
-                    for q in o.states
-                    if q in a.finals
-                    or any(t.source == q and t.target not in o.states for t in a.transitions)
-                }
+                assert o.out_gates == _out_gates(a, o.states)
+            for part in expected:
+                for q in part:
+                    sub = orbit_automaton(a, q)
+                    assert sub.states == part and sub.initials == {q}
+                    assert sub.finals == _out_gates(a, part)
+                    assert sub.transitions == {
+                        t for t in a.transitions if t.source in part and t.target in part
+                    }
+            result = orbit_property(a)
+            violation = _first_orbit_violation(a, expected)
+            assert result.holds == (violation is None)
+            if violation is not None:
+                failing += 1
+                assert (result.orbit, result.pair, result.reason) == violation
+        assert failing > 20
 
 
 class TestOrbitProperty:
@@ -232,6 +244,10 @@ class TestOrbitAutomaton:
             ("α2", "b", "α1"),
             ("α1", "c", "β2"),
         }
+
+    def test_unknown_state_rejected(self):
+        with pytest.raises(ValueError, match="unknown state: zz"):
+            orbit_automaton(min_dfa_two_block(), "zz")
 
 
 class TestBkwTest:
@@ -601,6 +617,36 @@ def _collect_failures(node):
     for child in node.children:
         out |= _collect_failures(child)
     return out
+
+
+def _out_gates(a, part):
+    """The states of `part` that are final or have an edge leaving it."""
+    return {
+        q
+        for q in part
+        if q in a.finals or any(t.source == q and t.target not in part for t in a.transitions)
+    }
+
+
+def _first_orbit_violation(a, parts):
+    """(orbit, pair, reason) of the first out-gate pair that breaks the orbit
+    property, orbits in sorted order, each pair (p, q) over the sorted
+    out-gates: finality first, then p's sorted edges leaving the orbit."""
+    for part in sorted(parts, key=sorted):
+        gates = sorted(_out_gates(a, part))
+        leaving = {g: [] for g in gates}
+        for t in a.transitions:
+            if t.source in leaving and t.target not in part:
+                leaving[t.source].append((t.label, t.target))
+        for row in leaving.values():
+            row.sort()
+        for p, q in itertools.permutations(gates, 2):
+            if p in a.finals and q not in a.finals:
+                return part, (p, q), f"{p} is final but {q} is not"
+            for b, r in leaving[p]:
+                if (b, r) not in leaving[q]:
+                    return part, (p, q), f"{p} leaves via {p} -{b.letters}-> {r} but {q} does not"
+    return None
 
 
 def _closure(successors, start):

@@ -1,0 +1,67 @@
+"""Dead-code guard: every import of a module in `blockdet` is used, and every
+private module-level function or class is referenced by some module."""
+
+import ast
+from pathlib import Path
+
+import blockdet
+
+PACKAGE = Path(blockdet.__file__).parent
+
+
+def _modules() -> dict:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Each name a module binds by an import, mapped to its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _read(tree: ast.Module) -> set:
+    """The plain names a module reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{module}: {name} (line {line})"
+        for module, tree in _modules().items()
+        if module != "__init__.py"  # the package's re-exports
+        for name, line in _imported(tree).items()
+        if name not in _read(tree)
+    ]
+    assert not unused
+
+
+def test_every_private_definition_is_referenced():
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [
+        f"{module}: {node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not unreferenced

@@ -37,14 +37,12 @@ from .bkw import (
 )
 from .determinism import (
     CheckResult,
-    DeterminismReport,
     is_k_block_deterministic,
     is_k_block_deterministic_expression,
     is_k_lookahead_deterministic,
     is_k_lookahead_deterministic_expression,
     marked_language_oracle,
     min_lookahead,
-    report_to_json,
 )
 from .glushkov import (
     GlushkovAutomaton,

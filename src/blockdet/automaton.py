@@ -100,9 +100,10 @@ class BlockAutomaton:
     @cached_property
     def common_depths(self) -> array:
         """For each pair of same-label transitions leaving one state, in the
-        order of ``_clashing_pairs(self.out_edges, str.__eq__)``: the length
-        of the longest label word that both targets read, or -1 when they
-        read common words of every length."""
+        order of ``_clashing_pairs(self.out_edges)``: the length of the
+        longest label word that both targets read, or -1 when they read
+        common words of every length.  Defined on width-1 automata, where
+        the clashing pairs are exactly the same-label ones."""
         return _common_depths(self)
 
 
@@ -254,18 +255,15 @@ def postorder(roots: Iterable, successors) -> list | None:
 # --- clashing pairs and the pair graph -----------------------------------------
 
 
-def _clashing_pairs(edges: dict, clash):
+def _clashing_pairs(edges: dict):
     """Pairs (t1, t2) of one state's out-edges, t1 before t2 in sorted order,
-    with ``clash(t2's label, t1's label)``.
-
-    `clash` must hold only for labels equal to or extending t1's: sorted,
-    those follow t1 in one run, so the scan stops at the first label that
-    does not clash."""
+    whose t2 label equals or extends t1's.  Sorted, those labels follow t1 in
+    one run, so the scan stops at the first label that does not extend it."""
     for leaving in edges.values():
         ts = sorted(leaving)
         for i, t1 in enumerate(ts):
             j = i + 1
-            while j < len(ts) and clash(ts[j].label, t1.label):
+            while j < len(ts) and ts[j].label.startswith(t1.label):
                 yield t1, ts[j]
                 j += 1
 
@@ -336,7 +334,7 @@ def _common_depths(a: BlockAutomaton) -> array:
     # A depth stays below the number of state pairs, n(n + 1)/2, which fits
     # 32 bits up to 65,535 states.
     depths = array("i" if len(a.states) < 1 << 16 else "q")
-    for t1, t2 in _clashing_pairs(edges, str.__eq__):
+    for t1, t2 in _clashing_pairs(edges):
         x, y = t1.target, t2.target
         if not edges[x] or not edges[y]:
             depths.append(0)

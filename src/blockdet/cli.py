@@ -48,11 +48,13 @@ def _as_automaton(value) -> au.BlockAutomaton:
 
 
 def _emit(payload, fmt: str, a: au.BlockAutomaton | None = None, text: str | None = None):
+    """Print `payload` as JSON, `text` under `--text` or when there is no
+    payload, or the automaton `a` under `--dot`, refused without one."""
     if fmt == "dot":
         if a is None:
             raise CliError("--dot applies only to commands that output an automaton")
         print(au.to_dot(a))
-    elif fmt == "text" and text is not None:
+    elif text is not None and (fmt == "text" or payload is None):
         print(text)
     else:
         print(_json_text(payload))
@@ -98,69 +100,16 @@ def _json_text(payload) -> str:
             value = item
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blockdet",
-        description="Determinism checks and certificates for block regular expressions and automata.",
-    )
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
-    fmt.add_argument("--dot", dest="fmt", action="store_const", const="dot")
-    fmt.add_argument("--text", dest="fmt", action="store_const", const="text")
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _run_parse(args) -> int:
+    ast = sx.parse(args.expression)
+    _emit(sx.ast_to_json(ast), args.fmt, text=sx.to_text(ast))
+    return 0
 
-    p = sub.add_parser("parse", help="parse an expression and print its AST")
-    p.add_argument("expression")
 
-    p = sub.add_parser("glushkov", help="position automaton of an expression")
-    p.add_argument("expression")
-
-    for verb, doc in (
-        ("trim", "drop useless states"),
-        ("std", "standardize (single never-re-entered initial state)"),
-        ("expand", "expand block labels into letter chains"),
-        ("det", "determinize (width-1 input)"),
-        ("min", "minimize a deterministic automaton"),
-    ):
-        p = sub.add_parser(verb, help=doc)
-        p.add_argument("input")
-
-    p = sub.add_parser("eliminate", help="eliminate one or more states")
-    p.add_argument("input")
-    p.add_argument("-q", "--state", action="append", required=True, dest="states")
-
-    p = sub.add_parser("equiv", help="language equivalence of two inputs")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("check", help="determinism properties of an expression or automaton")
-    p.add_argument(
-        "property", choices=["one-unambiguous", "block", "lookahead", "min-lookahead"]
-    )
-    p.add_argument("input")
-    p.add_argument("-k", type=int, default=None)
-
-    p = sub.add_parser("bkw", help="run the BKW test (expressions go via their minimal DFA)")
-    p.add_argument("input")
-
-    p = sub.add_parser("certify", help="certificate that the language is k-block deterministic")
-    p.add_argument("input")
-    p.add_argument("-k", type=int, required=True)
-
-    p = sub.add_parser("chi", help="letter expansion of a block expression")
-    p.add_argument("expression")
-
-    p = sub.add_parser("enumerate", help="accepted words up to a length bound")
-    p.add_argument("input")
-    p.add_argument("-n", "--maxlen", type=int, required=True)
-
-    p = sub.add_parser("witness", help="build a member of one of the witness families")
-    p.add_argument("family", choices=wt.FAMILIES)
-    p.add_argument("-k", "--parameter", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-param", type=int, default=wt.DEFAULT_PARAMETER_CAP)
-
-    return parser
+def _run_glushkov(args) -> int:
+    g = _glushkov(sx.parse(args.expression))
+    _emit(_glushkov_to_json(g), args.fmt, a=g.automaton)
+    return 0
 
 
 def _automaton_out(a: au.BlockAutomaton, fmt: str) -> int:
@@ -168,126 +117,94 @@ def _automaton_out(a: au.BlockAutomaton, fmt: str) -> int:
     return 0
 
 
-def _run(args) -> int:
-    fmt = args.fmt
-    if args.verb == "parse":
-        ast = sx.parse(args.expression)
-        _emit(sx.ast_to_json(ast), fmt, text=sx.to_text(ast))
+def _run_op(args) -> int:
+    return _automaton_out(args.op(_as_automaton(_read_input(args.input))), args.fmt)
+
+
+def _run_eliminate(args) -> int:
+    a = _as_automaton(_read_input(args.input))
+    return _automaton_out(tf.eliminate_set(a, args.states), args.fmt)
+
+
+def _run_equiv(args) -> int:
+    left = _as_automaton(_read_input(args.left))
+    right = _as_automaton(_read_input(args.right))
+    word = au.distinguishing_word(left, right)
+    if word is None:
+        _emit({"equivalent": True}, args.fmt, text="equivalent: True")
         return 0
-
-    if args.verb == "glushkov":
-        ast = sx.parse(args.expression)
-        g = _glushkov(ast)
-        _emit(_glushkov_to_json(g), fmt, a=g.automaton)
-        return 0
-
-    if args.verb in ("trim", "std", "expand", "det", "min"):
-        a = _as_automaton(_read_input(args.input))
-        op = {
-            "trim": au.trim,
-            "std": au.standardize,
-            "expand": au.expand_blocks,
-            "det": au.determinize,
-            "min": au.minimize,
-        }[args.verb]
-        return _automaton_out(op(a), fmt)
-
-    if args.verb == "eliminate":
-        a = _as_automaton(_read_input(args.input))
-        if len(args.states) == 1:
-            return _automaton_out(tf.eliminate(a, args.states[0]), fmt)
-        return _automaton_out(tf.eliminate_set(a, args.states), fmt)
-
-    if args.verb == "equiv":
-        left = _as_automaton(_read_input(args.left))
-        right = _as_automaton(_read_input(args.right))
-        word = au.distinguishing_word(left, right)
-        if word is None:
-            _emit({"equivalent": True}, fmt, text="equivalent: True")
-            return 0
-        _emit(
-            {"equivalent": False, "counterexample": word},
-            fmt,
-            text=f"equivalent: False\ncounterexample: {_encode_leaf(word)}",
-        )
-        return 1
-
-    if args.verb == "check":
-        return _run_check(args, fmt)
-
-    if args.verb == "bkw":
-        value = _read_input(args.input)
-        a = bk.minimal_dfa(value) if isinstance(value, sx.RegexAst) else value
-        trace = bk.bkw_test(a)
-        # Build only the output `fmt` prints; `--dot` has neither and is refused.
-        payload = bk.bkw_to_json(trace) if fmt == "json" else None
-        text = bk.render_trace(trace) if fmt == "text" else None
-        _emit(payload, fmt, text=text)
-        return 0 if trace.verdict else 1
-
-    if args.verb == "certify":
-        a = _as_automaton(_read_input(args.input))
-        verdict = bk.certify_k_block_language(a, args.k)
-        _emit({"k": args.k, "certified": verdict}, fmt, text=f"certified at k={args.k}: {verdict}")
-        return 0 if verdict else 1
-
-    if args.verb == "chi":
-        ast = sx.parse(args.expression)
-        transformed = tf.chi(sx.mark(ast))
-        plain = sx.drop(transformed)
-        payload = {
-            "omega": sx.to_text(transformed.ast),
-            "plain": sx.to_text(plain),
-            "plain_ast": sx.ast_to_json(plain),
-        }
-        _emit(payload, fmt, text=sx.to_text(transformed.ast))
-        return 0
-
-    if args.verb == "enumerate":
-        a = _as_automaton(_read_input(args.input))
-        words = au.enumerate_words(a, args.maxlen)
-        _emit({"maxlen": args.maxlen, "words": words}, fmt, text="\n".join(words))
-        return 0
-
-    if args.verb == "witness":
-        return _run_witness(args, fmt)
-
-    raise CliError(f"unknown verb {args.verb!r}")
+    _emit(
+        {"equivalent": False, "counterexample": word},
+        args.fmt,
+        text=f"equivalent: False\ncounterexample: {_encode_leaf(word)}",
+    )
+    return 1
 
 
-def _run_check(args, fmt: str) -> int:
+def _run_check(args) -> int:
     value = _read_input(args.input)
-    needs_k = args.property in ("block", "lookahead")
-    if needs_k and args.k is None:
-        raise CliError(f"check {args.property} needs -k")
-    if args.property == "one-unambiguous":
+    prop = args.property
+    if prop in ("block", "lookahead") and args.k is None:
+        raise CliError(f"check {prop} needs -k")
+    if prop == "one-unambiguous":
         verdict = bk.is_one_unambiguous(value)
-        _emit({"one_unambiguous": verdict}, fmt, text=f"one-unambiguous: {verdict}")
+        _emit({"one_unambiguous": verdict}, args.fmt, text=f"one-unambiguous: {verdict}")
         return 0 if verdict else 1
-
-    if isinstance(value, sx.RegexAst):
-        a = _glushkov(value).automaton
+    a = _as_automaton(value)
+    # The report names every check; the ones not run stay null.
+    report = dict.fromkeys(("deterministic", "k_block", "k_lookahead", "min_lookahead"))
+    if prop == "min-lookahead":
+        least = dt.min_lookahead(a)
+        verdict = least is not None
+        report["min_lookahead"] = least if verdict else "none"
+        text = f"min lookahead: {report['min_lookahead']}"
     else:
-        a = value
-    if needs_k:
-        if args.property == "block":
-            result = dt.is_k_block_deterministic(a, args.k)
-            report = dt.DeterminismReport(au.is_deterministic(a), k_block=result)
-        else:
-            result = dt.is_k_lookahead_deterministic(a, args.k)
-            report = dt.DeterminismReport(au.is_deterministic(a), k_lookahead=result)
-        text = f"{args.k}-{args.property} deterministic: {result.verdict}"
-        _emit(dt.report_to_json(report), fmt, text=text)
-        return 0 if result.verdict else 1
-    least = dt.min_lookahead(a)
-    payload = dt.report_to_json(dt.DeterminismReport(au.is_deterministic(a), min_lookahead=least))
-    if least is None:
-        payload["min_lookahead"] = "none"
-    _emit(payload, fmt, text=f"min lookahead: {payload['min_lookahead']}")
-    return 0 if least is not None else 1
+        check = dt.is_k_block_deterministic if prop == "block" else dt.is_k_lookahead_deterministic
+        result = check(a, args.k)
+        verdict = result.verdict
+        pairs = [[au.transition_to_json(t) for t in pair] for pair in result.violations]
+        report["k_" + prop] = {"k": result.k, "verdict": verdict, "violations": pairs}
+        text = f"{args.k}-{prop} deterministic: {verdict}"
+    report["deterministic"] = au.is_deterministic(a)
+    _emit(report, args.fmt, text=text)
+    return 0 if verdict else 1
 
 
-def _run_witness(args, fmt: str) -> int:
+def _run_bkw(args) -> int:
+    value = _read_input(args.input)
+    a = bk.minimal_dfa(value) if isinstance(value, sx.RegexAst) else value
+    trace = bk.bkw_test(a)
+    # Build only the output `fmt` prints; `--dot` has neither and is refused.
+    payload = bk.bkw_to_json(trace) if args.fmt == "json" else None
+    text = bk.render_trace(trace) if args.fmt == "text" else None
+    _emit(payload, args.fmt, text=text)
+    return 0 if trace.verdict else 1
+
+
+def _run_certify(args) -> int:
+    a = _as_automaton(_read_input(args.input))
+    verdict = bk.certify_k_block_language(a, args.k)
+    text = f"certified at k={args.k}: {verdict}"
+    _emit({"k": args.k, "certified": verdict}, args.fmt, text=text)
+    return 0 if verdict else 1
+
+
+def _run_chi(args) -> int:
+    transformed = tf.chi(sx.mark(sx.parse(args.expression)))
+    plain = sx.drop(transformed)
+    omega = sx.to_text(transformed.ast)
+    payload = {"omega": omega, "plain": sx.to_text(plain), "plain_ast": sx.ast_to_json(plain)}
+    _emit(payload, args.fmt, text=omega)
+    return 0
+
+
+def _run_enumerate(args) -> int:
+    words = au.enumerate_words(_as_automaton(_read_input(args.input)), args.maxlen)
+    _emit({"maxlen": args.maxlen, "words": words}, args.fmt, text="\n".join(words))
+    return 0
+
+
+def _run_witness(args) -> int:
     spec = wt.WitnessSpec(args.family, args.parameter)
     value = wt.build(spec)
     if args.verify:
@@ -303,16 +220,79 @@ def _run_witness(args, fmt: str) -> int:
         else:
             payload["expression"] = sx.to_text(value)
         lines = [f"{'ok  ' if c.ok else 'FAIL'} {c.name}" for c in report.claims]
-        _emit(payload, fmt, text="\n".join(lines))
+        _emit(payload, args.fmt, text="\n".join(lines))
         return 0 if report.passed else 1
     if isinstance(value, au.BlockAutomaton):
-        return _automaton_out(value, fmt)
-    # Expression families print bare text so the output can be passed
-    # straight back in as an inline expression argument.
-    if fmt == "dot":
-        raise CliError("--dot applies only to commands that output an automaton")
-    print(sx.to_text(value))
+        return _automaton_out(value, args.fmt)
+    # Expression families print bare text, whatever the format, so the
+    # output can be passed straight back in as an inline expression argument.
+    _emit(None, args.fmt, text=sx.to_text(value))
     return 0
+
+
+# The verbs that read one automaton (or expression) and print the automaton
+# an operation makes of it.
+_OPS = {
+    "trim": (au.trim, "drop useless states"),
+    "std": (au.standardize, "standardize (single never-re-entered initial state)"),
+    "expand": (au.expand_blocks, "expand block labels into letter chains"),
+    "det": (au.determinize, "determinize (width-1 input)"),
+    "min": (au.minimize, "minimize a deterministic automaton"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="blockdet",
+        description="Determinism checks and certificates for block regular expressions and automata.",
+    )
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
+    fmt.add_argument("--dot", dest="fmt", action="store_const", const="dot")
+    fmt.add_argument("--text", dest="fmt", action="store_const", const="text")
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def verb(name: str, run, doc: str, *positional: str) -> argparse.ArgumentParser:
+        """Declare a verb with its handler, which `main` calls as `args.run(args)`."""
+        p = sub.add_parser(name, help=doc)
+        p.set_defaults(run=run)
+        for arg in positional:
+            p.add_argument(arg)
+        return p
+
+    verb("parse", _run_parse, "parse an expression and print its AST", "expression")
+    verb("glushkov", _run_glushkov, "position automaton of an expression", "expression")
+    for name, (op, doc) in _OPS.items():
+        verb(name, _run_op, doc, "input").set_defaults(op=op)
+
+    p = verb("eliminate", _run_eliminate, "eliminate one or more states", "input")
+    p.add_argument("-q", "--state", action="append", required=True, dest="states")
+
+    verb("equiv", _run_equiv, "language equivalence of two inputs", "left", "right")
+
+    p = verb("check", _run_check, "determinism properties of an expression or automaton")
+    p.add_argument("property", choices=["one-unambiguous", "block", "lookahead", "min-lookahead"])
+    p.add_argument("input")
+    p.add_argument("-k", type=int, default=None)
+
+    verb("bkw", _run_bkw, "run the BKW test (expressions go via their minimal DFA)", "input")
+
+    p = verb("certify", _run_certify, "certificate that the language is k-block deterministic")
+    p.add_argument("input")
+    p.add_argument("-k", type=int, required=True)
+
+    verb("chi", _run_chi, "letter expansion of a block expression", "expression")
+
+    p = verb("enumerate", _run_enumerate, "accepted words up to a length bound", "input")
+    p.add_argument("-n", "--maxlen", type=int, required=True)
+
+    p = verb("witness", _run_witness, "build a member of one of the witness families")
+    p.add_argument("family", choices=wt.FAMILIES)
+    p.add_argument("-k", "--parameter", type=int, required=True)
+    p.add_argument("--verify", action="store_true")
+    p.add_argument("--max-param", type=int, default=wt.DEFAULT_PARAMETER_CAP)
+
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,11 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _run(args)
+        return args.run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"blockdet: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         # Exit 1 would read as "the property fails": report a crash as an error.
         print(f"blockdet: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2

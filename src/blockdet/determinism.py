@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .automaton import BlockAutomaton, _clashing_pairs, transition_to_json
+from .automaton import BlockAutomaton, _clashing_pairs
 from .glushkov import glushkov
 from .syntax import Empty, RegexAst, language, mark, parse, to_text, width
 
@@ -28,34 +28,6 @@ class CheckResult:
         return self.verdict
 
 
-@dataclass(frozen=True)
-class DeterminismReport:
-    deterministic: bool
-    k_block: CheckResult | None = None
-    k_lookahead: CheckResult | None = None
-    min_lookahead: int | None = None
-
-
-def report_to_json(report: DeterminismReport) -> dict:
-    def check(c: CheckResult | None):
-        if c is None:
-            return None
-        return {
-            "k": c.k,
-            "verdict": c.verdict,
-            "violations": [
-                [transition_to_json(t1), transition_to_json(t2)] for t1, t2 in c.violations
-            ],
-        }
-
-    return {
-        "deterministic": report.deterministic,
-        "k_block": check(report.k_block),
-        "k_lookahead": check(report.k_lookahead),
-        "min_lookahead": report.min_lookahead,
-    }
-
-
 # --- automaton-level checks -----------------------------------------------------
 
 
@@ -64,7 +36,7 @@ def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     non-prefix outgoing labels (equal labels to distinct targets count)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    violations = tuple(sorted(_clashing_pairs(a.out_edges, str.startswith)))
+    violations = tuple(sorted(_clashing_pairs(a.out_edges)))
     verdict = a.width <= k and len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)
 
@@ -76,7 +48,7 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
         raise ValueError("k must be >= 1")
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    pairs = zip(_clashing_pairs(a.out_edges, str.__eq__), a.common_depths)
+    pairs = zip(_clashing_pairs(a.out_edges), a.common_depths)
     violations = tuple(sorted(pair for pair, depth in pairs if depth < 0 or depth >= k - 1))
     verdict = len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)

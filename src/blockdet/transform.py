@@ -54,7 +54,7 @@ def eliminate_set(a: BlockAutomaton, states: Iterable[str]) -> BlockAutomaton:
     todo = sorted(set(states))
     for q in todo:
         if not eliminable(a, q):
-            raise ValueError(f"state {q!r} cannot be eliminated")
+            raise ValueError(f"state {q!r} is initial, final or has a self-loop")
     if _induced_cycle(a, set(todo)):
         raise ValueError("the induced subgraph has a cycle")
     for q in todo:

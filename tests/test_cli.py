@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,9 @@ import blockdet
 from blockdet import bkw as bkw_module
 from blockdet import (
     BlockAutomaton,
+    WitnessSpec,
     ast_to_json,
+    build,
     determinize,
     from_json,
     glushkov,
@@ -25,7 +28,7 @@ from blockdet import (
     to_json,
 )
 from blockdet.cli import _json_text, main
-from blockdet.witnesses import block_bk, hanwood_mk
+from blockdet.witnesses import FAMILIES, block_bk, hanwood_mk
 
 from conftest import glushkov_two_block, glushkov_two_lookahead, min_dfa_two_block, nested_orbits
 
@@ -108,6 +111,17 @@ class TestTransformVerbs:
         assert code == 0
         assert "aa" in {t["label"] for t in data["transitions"]}
 
+    def test_eliminate_names_the_reason(self, capsys, tmp_path):
+        # q2 is the initial state; q1 can go, and is eliminated first.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(to_json(hanwood_mk(2))))
+        for more in ([], ["-q", "q1"]):
+            assert run(capsys, "eliminate", str(path), "-q", "q2", *more) == (
+                2,
+                "",
+                "blockdet: state 'q2' is initial, final or has a self-loop\n",
+            )
+
 
 class TestCheckVerb:
     def test_one_unambiguous_pass(self, capsys):
@@ -138,6 +152,36 @@ class TestCheckVerb:
         code, out, err = run(capsys, "--text", "check", "min-lookahead", "(a+a)*")
         assert code == 1
         assert out == "min lookahead: none\n"
+
+    def test_report_names_every_check(self, capsys):
+        # The check run fills its key; the others stay null.
+        keys = ["deterministic", "k_block", "k_lookahead", "min_lookahead"]
+        code, data = run_json(capsys, "check", "block", "-k", "2", "[aa]*([ab]b+ba)b*")
+        assert code == 0 and list(data) == keys
+        assert data == {
+            "deterministic": True,
+            "k_block": {"k": 2, "verdict": True, "violations": []},
+            "k_lookahead": None,
+            "min_lookahead": None,
+        }
+        code, data = run_json(capsys, "check", "lookahead", "-k", "2", "b*a(b*a)*(a+b)")
+        assert code == 0 and list(data) == keys
+        assert data["deterministic"] is False and data["k_block"] is None
+        assert data["k_lookahead"]["verdict"] is True and data["min_lookahead"] is None
+        code, data = run_json(capsys, "check", "lookahead", "-k", "1", "b*a(b*a)*(a+b)")
+        assert code == 1
+        assert data["k_lookahead"]["violations"][0] == [
+            {"from": "a_2", "label": "a", "to": "a_4"},
+            {"from": "a_2", "label": "a", "to": "a_5"},
+        ]
+        code, data = run_json(capsys, "check", "min-lookahead", "b*a(b*a)*(a+b)")
+        assert code == 0 and list(data) == keys
+        assert data == {
+            "deterministic": False,
+            "k_block": None,
+            "k_lookahead": None,
+            "min_lookahead": 2,
+        }
 
     def test_missing_k_is_usage_error(self, capsys):
         code, out, err = run(capsys, "check", "block", "[aa]")
@@ -307,6 +351,87 @@ class TestEquivVerb:
         assert run(capsys, "--text", "equiv", "[aa]*", "(aa)*") == (0, "equivalent: True\n", "")
 
 
+def _declared_verbs(capsys) -> list:
+    """The verbs the top-level usage line lists."""
+    code, out, _ = run(capsys, "-h")
+    assert code == 0
+    return re.search(r"\{([\w,-]+)\}", out).group(1).split(",")
+
+
+def _prints_automaton(family: str) -> bool:
+    return isinstance(build(WitnessSpec(family, 2)), BlockAutomaton)
+
+
+_DOT_REFUSED = "blockdet: --dot applies only to commands that output an automaton\n"
+
+
+class TestVerbFormatMatrix:
+    """Every verb under --json, --text and --dot."""
+
+    # Commands that print an automaton: JSON under --text, DOT under --dot.
+    AUTOMATA = [
+        ["glushkov", "(a+b)*a"],
+        ["trim", "(a+b)*a"],
+        ["std", "(a+b)*a"],
+        ["expand", "[ab]*a"],
+        ["det", "(a+b)*a"],
+        ["min", "a*b"],
+        ["eliminate", "ab", "-q", "a_1"],
+        *(["witness", f, "-k", "2"] for f in FAMILIES if _prints_automaton(f)),
+    ]
+    # Commands with a text form of their own; --dot is refused.
+    REPORTS = [
+        ["parse", "(a+b)*a"],
+        ["equiv", "a*", "[aa]*"],
+        ["check", "one-unambiguous", "(a+b)*a"],
+        ["check", "block", "-k", "2", "[aa]*([ab]b+ba)b*"],
+        ["check", "lookahead", "-k", "2", "b*a(b*a)*(a+b)"],
+        ["check", "min-lookahead", "(a+a)*"],
+        ["bkw", "(a+b)*a"],
+        ["certify", "[ab]*", "-k", "2"],
+        ["chi", "[ab]*a"],
+        ["enumerate", "(a+b)*a", "-n", "2"],
+        ["witness", "block_Ak", "-k", "2", "--verify"],
+        ["witness", "block_expr", "-k", "2", "--verify"],
+    ]
+    # Expression witnesses print bare expression text under --json and --text.
+    EXPRESSIONS = [["witness", f, "-k", "2"] for f in FAMILIES if not _prints_automaton(f)]
+
+    def test_every_verb_is_covered(self, capsys):
+        covered = {argv[0] for argv in self.AUTOMATA + self.REPORTS + self.EXPRESSIONS}
+        assert covered == set(_declared_verbs(capsys))
+        witnesses = [argv for argv in self.AUTOMATA + self.EXPRESSIONS if argv[0] == "witness"]
+        assert {argv[1] for argv in witnesses} == set(FAMILIES)
+
+    @pytest.mark.parametrize("argv", AUTOMATA, ids=" ".join)
+    def test_automaton_output(self, capsys, argv):
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, err) == (0, "")
+        from_json(json.loads(out))
+        assert run(capsys, "--text", *argv) == (0, out, "")
+        code, dot, err = run(capsys, "--dot", *argv)
+        assert (code, err) == (0, "")
+        assert dot.startswith("digraph")
+
+    @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+    def test_report_output(self, capsys, argv):
+        code, out, err = run(capsys, "--json", *argv)
+        assert code in (0, 1) and not err
+        json.loads(out)
+        text_code, text, err = run(capsys, "--text", *argv)
+        assert (text_code, err) == (code, "")
+        assert text != out
+        assert run(capsys, "--dot", *argv) == (2, "", _DOT_REFUSED)
+
+    @pytest.mark.parametrize("argv", EXPRESSIONS, ids=" ".join)
+    def test_expression_output(self, capsys, argv):
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, err) == (0, "")
+        parse(out.strip())
+        assert run(capsys, "--text", *argv) == (0, out, "")
+        assert run(capsys, "--dot", *argv) == (2, "", _DOT_REFUSED)
+
+
 class TestErrors:
     def test_unreadable_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -317,6 +442,16 @@ class TestErrors:
     def test_dot_on_non_automaton_verb(self, capsys):
         code, out, err = run(capsys, "--dot", "parse", "a+b")
         assert code == 2
+
+    def test_huge_parameter_is_exit_2_not_fail(self, capsys):
+        # Building the family's text overflows the index size.
+        families = ["hanwood_Ek_expr", "hanwood_Fk_expr", "block_Bk", "block_expr", "unary_Ej_expr"]
+        for family in families:
+            assert run(capsys, "witness", family, "-k", "100000000000000000000") == (
+                2,
+                "",
+                "blockdet: input too large to process (OverflowError)\n",
+            )
 
     def test_wide_union_answers(self, capsys):
         code, data = run_json(capsys, "check", "one-unambiguous", "+".join(["a"] * 1100))

@@ -1,5 +1,6 @@
 """Dead-code guard: every import of a module in `blockdet` is used, and every
-private module-level function or class is referenced by some module."""
+module-level function or class is referenced by some module; a public one
+may instead be exported by the package's `__init__`."""
 
 import ast
 from pathlib import Path
@@ -45,7 +46,10 @@ def test_every_import_is_used():
     assert not unused
 
 
-def test_every_private_definition_is_referenced():
+def _unreferenced(public: bool) -> list:
+    """The module-level functions and classes, public or private, that no
+    module names: not read, not read as an attribute, not imported by name
+    (so `__init__`'s re-exports count as references)."""
     modules = _modules()
     referenced = set()
     for tree in modules.values():
@@ -55,13 +59,20 @@ def test_every_private_definition_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    unreferenced = [
+    return [
         f"{module}: {node.name}"
         for module, tree in modules.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") != public
         and not node.name.startswith("__")
         and node.name not in referenced
     ]
-    assert not unreferenced
+
+
+def test_every_private_definition_is_referenced():
+    assert not _unreferenced(public=False)
+
+
+def test_every_public_definition_is_exported_or_referenced():
+    assert not _unreferenced(public=True)

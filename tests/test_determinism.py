@@ -15,11 +15,9 @@ from blockdet import (
     marked_language_oracle,
     min_lookahead,
     parse,
-    report_to_json,
     width,
 )
 from blockdet.automaton import postorder
-from blockdet.determinism import DeterminismReport
 from blockdet.witnesses import block_bk
 
 from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, random_expression
@@ -273,30 +271,6 @@ class TestOracle:
 
 
 class TestReport:
-    def test_json_shape(self):
-        a = glushkov_two_block()
-        report = DeterminismReport(
-            is_deterministic(a), k_block=is_k_block_deterministic(a, 2)
-        )
-        data = report_to_json(report)
-        assert data["deterministic"] is True
-        assert data["k_block"]["k"] == 2
-        assert data["k_block"]["verdict"] is True
-        assert data["k_lookahead"] is None
-        assert data["min_lookahead"] is None
-
-        a = glushkov_two_lookahead()
-        report = DeterminismReport(
-            is_deterministic(a),
-            k_lookahead=is_k_lookahead_deterministic(a, 2),
-            min_lookahead=min_lookahead(a),
-        )
-        data = report_to_json(report)
-        assert data["deterministic"] is False
-        assert data["k_block"] is None
-        assert data["k_lookahead"]["verdict"] is True
-        assert data["min_lookahead"] == 2
-
     def test_violations_share_source(self):
         result = is_k_block_deterministic(glushkov_union_tail(), 1)
         assert result.violations

@@ -61,7 +61,7 @@ def _fresh_in(a):
 
 def _depth_map(a):
     """The lookahead table as a map from clashing pair to common depth."""
-    return dict(zip(_clashing_pairs(a.out_edges, str.__eq__), a.common_depths))
+    return dict(zip(_clashing_pairs(a.out_edges), a.common_depths))
 
 
 def _random_automaton(rng):

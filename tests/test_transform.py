@@ -135,6 +135,14 @@ class TestEliminateSet:
                 step = eliminate(step, q)
             assert step == expected
 
+    def test_names_why_a_state_cannot_go(self):
+        # As `eliminate` does; the states are checked in sorted order.
+        a = counterexample_fig7()
+        for states, first in (({"i"}, "i"), ({"i", "2"}, "2")):
+            with pytest.raises(ValueError) as info:
+                eliminate_set(a, states)
+            assert str(info.value) == f"state {first!r} is initial, final or has a self-loop"
+
     def test_cycle_rejected(self):
         a = BlockAutomaton.make(
             states={"i", "p", "q", "f"},

@@ -137,9 +137,6 @@ def _coerce_transition(t) -> Transition:
     return Transition(source, label, target)
 
 
-EMPTY_AUTOMATON = BlockAutomaton.make()
-
-
 def fresh_name(taken: Container[str], base: str) -> str:
     """Return ``base`` primed until it avoids every name in ``taken``."""
     name = base
@@ -423,8 +420,6 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
         raise ValueError("determinize expects a width-1 automaton; expand blocks first")
     if is_deterministic(a):
         return trim(a)
-    if not a.initials:
-        return EMPTY_AUTOMATON
     edges = a.out_edges
     start = frozenset(a.initials)
     subsets = [start]
@@ -482,8 +477,6 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
     if not is_deterministic(a) and a.states:
         raise ValueError("minimize expects a deterministic automaton")
     a = trim(a)
-    if not a.states:
-        return a
     edges = a.out_edges
     rename = _quotient([(q, q in a.finals, edges[q]) for q in sorted(a.states)])
     return _trusted(
@@ -531,14 +524,11 @@ def isomorphic(a: BlockAutomaton, b: BlockAutomaton) -> bool:
 
 def _canonical(a: BlockAutomaton):
     a = trim(a)
-    if not a.states:
-        return (0, frozenset(), frozenset())
-    if not is_deterministic(a):
+    if a.states and not is_deterministic(a):
         raise ValueError("isomorphic expects deterministic automata")
     edges = a.out_edges
-    (initial,) = a.initials
-    number = {initial: 0}
-    order = deque([initial])
+    number = dict.fromkeys(a.initials, 0)
+    order = deque(number)
     while order:
         q = order.popleft()
         for t in sorted(edges[q], key=lambda t: t.label):

@@ -20,7 +20,7 @@ from .automaton import (
 )
 from .determinism import is_k_block_deterministic
 from .glushkov import GlushkovAutomaton, glushkov
-from .syntax import Empty, RegexAst
+from .syntax import RegexAst
 
 
 # --- orbits --------------------------------------------------------------------
@@ -158,9 +158,7 @@ def _orbit_property(orbits: list, edges: dict, finals: frozenset) -> OrbitProper
 
 def consistent_symbols(a: BlockAutomaton) -> frozenset:
     """Symbols whose transitions from every final state share one target."""
-    if not a.states:
-        return frozenset()
-    if not is_deterministic(a):
+    if a.states and not is_deterministic(a):
         raise ValueError("consistent symbols are defined on deterministic automata")
     return _consistent([a.out_edges[f] for f in a.finals])
 
@@ -267,8 +265,6 @@ def _bkw_step(key: tuple) -> tuple[dict, list]:
     states = initials.union([t.target for t in transitions])  # all are reached
     fingerprint = f"{len(states)} states, {len(transitions)} transitions"
     fields = dict(fingerprint=fingerprint, consistent=(), orbit_property_holds=True, failure=None)
-    if not states:
-        return fields, []
     edges: dict = {q: [] for q in states}
     for t in transitions:
         edges[t.source].append(t)
@@ -357,10 +353,7 @@ def render_trace(trace: BkwTrace) -> str:
 def minimal_dfa(x: RegexAst | GlushkovAutomaton | BlockAutomaton) -> BlockAutomaton:
     """Minimal DFA of the denoted language over the base alphabet."""
     if isinstance(x, RegexAst):
-        if isinstance(x, Empty):
-            a = BlockAutomaton.make()
-        else:
-            a = glushkov(x).automaton
+        a = glushkov(x).automaton
     elif isinstance(x, GlushkovAutomaton):
         a = x.automaton
     else:

@@ -156,8 +156,8 @@ def _run_check(args) -> int:
     if prop == "min-lookahead":
         least = dt.min_lookahead(a)
         verdict = least is not None
-        report["min_lookahead"] = least if verdict else "none"
-        text = f"min lookahead: {report['min_lookahead']}"
+        report["min_lookahead"] = least
+        text = f"min lookahead: {least if verdict else 'none'}"
     else:
         check = dt.is_k_block_deterministic if prop == "block" else dt.is_k_lookahead_deterministic
         result = check(a, args.k)
@@ -206,9 +206,10 @@ def _run_enumerate(args) -> int:
 
 def _run_witness(args) -> int:
     spec = wt.WitnessSpec(args.family, args.parameter)
+    # `verify` refuses a parameter past its cap, so refuse before building.
+    report = wt.verify(spec, parameter_cap=args.max_param) if args.verify else None
     value = wt.build(spec)
-    if args.verify:
-        report = wt.verify(spec, parameter_cap=args.max_param)
+    if report is not None:
         payload = {
             "family": spec.family,
             "parameter": spec.parameter,

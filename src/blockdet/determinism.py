@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .automaton import BlockAutomaton, _clashing_pairs
 from .glushkov import glushkov
-from .syntax import Empty, RegexAst, language, mark, parse, to_text, width
+from .syntax import RegexAst, language, mark, parse, to_text, width
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,12 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
         raise ValueError("k must be >= 1")
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    pairs = zip(_clashing_pairs(a.out_edges), a.common_depths)
-    violations = tuple(sorted(pair for pair, depth in pairs if depth < 0 or depth >= k - 1))
+    depths = a.common_depths
+    violations = ()
+    # Walk the pairs again only to name the violations the table shows.
+    if min(depths, default=0) < 0 or max(depths, default=-1) >= k - 1:
+        pairs = zip(_clashing_pairs(a.out_edges), depths)
+        violations = tuple(sorted(pair for pair, depth in pairs if depth < 0 or depth >= k - 1))
     verdict = len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)
 
@@ -78,8 +82,6 @@ def is_k_block_deterministic_expression(expr: RegexAst, k: int) -> CheckResult:
 def is_k_lookahead_deterministic_expression(expr: RegexAst, k: int) -> CheckResult:
     """k-lookahead determinism of the expression's Glushkov automaton;
     requires all blocks to be single letters."""
-    if width(expr) > 1:
-        raise ValueError("lookahead determinism is defined on width-1 expressions")
     return is_k_lookahead_deterministic(glushkov(expr).automaton, k)
 
 
@@ -105,8 +107,6 @@ def marked_language_oracle(kind: str, expr: RegexAst, k: int, maxlen: int) -> Or
         raise ValueError("kind must be 'block' or 'lookahead'")
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
-    if isinstance(expr, Empty):
-        return OracleResult(True, None)
     prefixes = _marked_prefixes(to_text(expr), maxlen)
     if kind == "block":
         if width(expr) > k:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .automaton import BlockAutomaton, Transition, _trusted, to_json
-from .syntax import Empty, MarkedExpression, RegexAst, mark, positions
+from .syntax import MarkedExpression, RegexAst, mark, positions
 
 INITIAL_STATE = "i"
 
@@ -24,8 +24,6 @@ def glushkov(expr: RegexAst | MarkedExpression) -> GlushkovAutomaton:
     initial, transitions follow First/Follow, finals are Last (and the
     initial when the expression is nullable)."""
     marked = expr if isinstance(expr, MarkedExpression) else mark(expr)
-    if isinstance(marked.ast, Empty):
-        raise ValueError("the empty expression has no Glushkov automaton here")
     table = positions(marked)
     name = {p: p.state_name() for p in marked.positions}
     states = {INITIAL_STATE, *name.values()}

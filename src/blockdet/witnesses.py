@@ -15,7 +15,7 @@ from .automaton import (
     standardize,
     trim,
 )
-from .bkw import certify_k_block_language, minimal_dfa
+from .bkw import bkw_test, certify_k_block_language, minimal_dfa
 from .determinism import (
     is_k_block_deterministic,
     is_k_block_deterministic_expression,
@@ -300,6 +300,8 @@ def _verify_unary(j: int) -> list[Claim]:
             "E_j is not j-lookahead deterministic",
             not is_k_lookahead_deterministic(g, j),
         ),
+        # A_j is minimal, so the BKW test on it decides the language.
+        Claim("L(A_j) is not one-unambiguous", not bkw_test(aj).verdict),
     ]
 
 

@@ -163,6 +163,7 @@ WIDTH1_EXPRESSION_TEXTS = [
     "(aaa)*(eps+a)",
     "(aaaaa)*(eps+aa)",
     "b*(ab*)*",
+    "empty",
 ]
 
 
@@ -181,8 +182,10 @@ def nested_orbits(depth: int) -> str:
     return text
 
 
-def random_expression(rng: random.Random, max_positions: int, max_width: int) -> RegexAst:
-    """A random trimmed expression over {a,b,c} with a position budget."""
+def random_expression(
+    rng: random.Random, max_positions: int, max_width: int, letters: str = "abc"
+) -> RegexAst:
+    """A random trimmed expression over `letters` with a position budget."""
 
     def node(budget: int, depth: int) -> tuple[RegexAst, int]:
         choices = ["literal"]
@@ -195,8 +198,8 @@ def random_expression(rng: random.Random, max_positions: int, max_width: int) ->
             return Epsilon(), 0
         if kind == "literal":
             width = rng.randint(1, min(max_width, budget))
-            letters = "".join(rng.choice("abc") for _ in range(width))
-            return Literal(BlockSymbol(letters)), 1
+            block = "".join(rng.choice(letters) for _ in range(width))
+            return Literal(BlockSymbol(block)), 1
         if kind == "star":
             child, used = node(budget, depth + 1)
             return Star(child), used

@@ -30,7 +30,6 @@ from blockdet import (
     trim,
 )
 from blockdet import automaton, witnesses
-from blockdet.automaton import EMPTY_AUTOMATON
 from blockdet.bkw import consistent_symbols, orbit_automaton, s_cut
 from blockdet.syntax import base_language, mark
 from blockdet.transform import eliminable, eliminate
@@ -261,6 +260,10 @@ class TestDeterminize:
         a = min_dfa_two_block()
         assert isomorphic(determinize(a), trim(a))
 
+    def test_no_initials_gives_the_empty_automaton(self):
+        a = BlockAutomaton.make(states={"p", "q"}, finals={"q"}, transitions=[("p", "a", "q")])
+        assert determinize(a) == BlockAutomaton.make()
+
     def test_two_lookahead_language_preserved(self):
         g = glushkov(parse("b*a(b*a)*(a+b)")).automaton
         dfa = determinize(expand_blocks(g))
@@ -427,6 +430,11 @@ class TestIsomorphic:
     def test_different_cycle_lengths(self):
         assert not isomorphic(unary_aj(2), unary_aj(3))
 
+    def test_empty_automata(self):
+        # The second trims to no states.
+        assert isomorphic(BlockAutomaton.make(), BlockAutomaton.make(states={"p"}, initials={"p"}))
+        assert not isomorphic(BlockAutomaton.make(), unary_aj(1))
+
     def test_different_shapes(self):
         assert not isomorphic(min_dfa_two_block(), minimize(determinize(glushkov_union_tail())))
 
@@ -485,7 +493,7 @@ class TestEquivalent:
             elif kind == 3:
                 b = _random_block_automaton(rng)
             else:
-                b = EMPTY_AUTOMATON
+                b = BlockAutomaton.make()
             if rng.random() < 0.5:
                 a, b = b, a
             word = distinguishing_word(a, b)

@@ -23,14 +23,16 @@ from blockdet import (
     from_json,
     glushkov,
     isomorphic,
+    mark,
     minimal_dfa,
     parse,
     to_json,
+    to_text,
 )
 from blockdet.cli import _json_text, main
 from blockdet.witnesses import FAMILIES, block_bk, hanwood_mk
 
-from conftest import glushkov_two_block, glushkov_two_lookahead, min_dfa_two_block, nested_orbits
+from conftest import glushkov_two_block, glushkov_two_lookahead, min_dfa_two_block, nested_orbits, random_expression
 
 
 def run(capsys, *argv):
@@ -148,7 +150,7 @@ class TestCheckVerb:
         # The two a-branches of (a+a)* read common words of every length.
         code, data = run_json(capsys, "check", "min-lookahead", "(a+a)*")
         assert code == 1
-        assert data["min_lookahead"] == "none"
+        assert data["min_lookahead"] is None
         code, out, err = run(capsys, "--text", "check", "min-lookahead", "(a+a)*")
         assert code == 1
         assert out == "min lookahead: none\n"
@@ -432,6 +434,35 @@ class TestVerbFormatMatrix:
         assert run(capsys, "--dot", *argv) == (2, "", _DOT_REFUSED)
 
 
+class TestEmptyLanguage:
+    # Every verb that reads an expression but `eliminate`, which would have
+    # only the initial state to remove.
+    ARGV = [
+        ["parse", "empty"],
+        ["glushkov", "empty"],
+        *([op, "empty"] for op in ("trim", "std", "expand", "det", "min")),
+        ["equiv", "empty", "empty"],
+        ["check", "one-unambiguous", "empty"],
+        ["check", "block", "-k", "1", "empty"],
+        ["check", "lookahead", "-k", "1", "empty"],
+        ["check", "min-lookahead", "empty"],
+        ["bkw", "empty"],
+        ["certify", "empty", "-k", "1"],
+        ["chi", "empty"],
+        ["enumerate", "empty", "-n", "3"],
+    ]
+
+    def test_every_verb_answers(self, capsys):
+        assert {argv[0] for argv in self.ARGV} == set(_declared_verbs(capsys)) - {"eliminate", "witness"}
+        for argv in self.ARGV:
+            for fmt in ("--json", "--text"):
+                code, out, err = run(capsys, fmt, *argv)
+                assert code in (0, 1) and err == "", argv
+
+    def test_equiv_names_a_word(self, capsys):
+        assert run_json(capsys, "equiv", "empty", "a") == (1, {"equivalent": False, "counterexample": "a"})
+
+
 class TestErrors:
     def test_unreadable_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -451,6 +482,19 @@ class TestErrors:
                 2,
                 "",
                 "blockdet: input too large to process (OverflowError)\n",
+            )
+
+    def test_verify_refuses_before_building(self, capsys, monkeypatch):
+        # A member with 10^20 states would never be built.
+        def build(spec):
+            raise AssertionError(f"built {spec.family} before checking the cap")
+
+        monkeypatch.setattr("blockdet.witnesses.build", build)
+        for family in FAMILIES:
+            assert run(capsys, "witness", family, "-k", str(10**20), "--verify") == (
+                2,
+                "",
+                f"blockdet: parameter {10**20} exceeds the verification cap 6\n",
             )
 
     def test_wide_union_answers(self, capsys):
@@ -586,26 +630,34 @@ _CORPUS_SCRIPT = """
 import contextlib, io, json, sys
 from blockdet.cli import main
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    print(argv, code, out.getvalue())
+    print(argv, code, out.getvalue(), err.getvalue())
 """
 
 
-def _run_corpus(corpus, hash_seed):
+def _run_corpus(corpus) -> tuple[str, str]:
+    """The corpus's output under PYTHONHASHSEED 0 and 1, from two
+    subprocesses run side by side."""
     src = str(Path(blockdet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _CORPUS_SCRIPT, json.dumps(corpus)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    runs = []
+    for hash_seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", _CORPUS_SCRIPT, json.dumps(corpus)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ))
+    outputs = []
+    for done in runs:
+        out, err = done.communicate(timeout=120)
+        assert done.returncode == 0, err
+        outputs.append(out)
+    return outputs[0], outputs[1]
 
 
 class TestHashSeedIndependence:
@@ -683,11 +735,38 @@ class TestHashSeedIndependence:
                 for verb in ("bkw", "min", "det")
             ),
         ]
-        first = _run_corpus(corpus, 0)
+        first, second = _run_corpus(corpus)
         # a nested orbit, indented under its parent
         assert "\n    orbit {@3,cca_3,{@1,@2}} from cca_3," in first and '"violations": [\n      [' in first
         assert first.count("minimized: 1 states, 63 transitions") == 63
         assert '"from": "{q0,q2,q3}"' in first
         assert '"counterexample": "' in first and '\ncounterexample: "' in first
         assert '"context": "orbit {o_10,{l_11,u_9}} from {l_11,u_9}, minimized"' in first
-        assert _run_corpus(corpus, 1) == first
+        assert second == first
+
+    def test_every_verb_format_and_family(self, capsys):
+        # Seed 48: `empty` and two random expressions, of width 1 and 2,
+        # through every verb, and each witness family with and without
+        # --verify, in all three formats.
+        rng = random.Random(48)
+        texts = ["empty"] + [to_text(random_expression(rng, 5, w)) for w in (1, 2)]
+        commands = []
+        for text in texts:
+            state = min((p.state_name() for p in mark(parse(text)).positions), default="i")
+            commands += [
+                ["parse", text],
+                ["glushkov", text],
+                *([op, text] for op in ("trim", "std", "expand", "det", "min")),
+                ["eliminate", text, "-q", state],
+                ["equiv", text, "(a+b)*a"],
+                *(["check", p, text, "-k", "2"] for p in ("one-unambiguous", "block", "lookahead", "min-lookahead")),
+                ["bkw", text],
+                ["certify", text, "-k", "2"],
+                ["chi", text],
+                ["enumerate", text, "-n", "3"],
+            ]
+        commands += [["witness", f, "-k", "2", *v] for f in FAMILIES for v in ([], ["--verify"])]
+        assert {argv[0] for argv in commands} == set(_declared_verbs(capsys))
+        corpus = [[fmt, *argv] for fmt in ("--json", "--text", "--dot") for argv in commands]
+        first, second = _run_corpus(corpus)
+        assert second == first

@@ -18,6 +18,7 @@ from blockdet import (
     width,
 )
 from blockdet.automaton import postorder
+from blockdet.syntax import Empty
 from blockdet.witnesses import block_bk
 
 from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, random_expression
@@ -234,6 +235,13 @@ class TestOracle:
 
     def test_lookahead_example_holds(self):
         assert marked_language_oracle("lookahead", parse("b*a(b*a)*(a+b)"), 2, 5).verdict
+
+    def test_empty_language_agrees(self):
+        for k in (1, 2):
+            assert marked_language_oracle("block", Empty(), k, 4).verdict
+            assert is_k_block_deterministic_expression(Empty(), k).verdict
+            assert marked_language_oracle("lookahead", Empty(), k, 4).verdict
+            assert is_k_lookahead_deterministic_expression(Empty(), k).verdict
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -43,9 +43,11 @@ class TestConstruction:
         assert g.position_of_state["b_6"].index == 6
         assert "i" not in g.position_of_state
 
-    def test_empty_expression_rejected(self):
-        with pytest.raises(ValueError):
-            glushkov(Empty())
+    def test_empty_expression_is_one_state(self):
+        # First = Last = {}: the initial state alone, not final.
+        a = glushkov(Empty()).automaton
+        assert a == BlockAutomaton.make(states={"i"}, initials={"i"})
+        assert check_glushkov_shape(a)
 
     def test_epsilon(self):
         g = glushkov(parse("eps"))

@@ -469,7 +469,8 @@ def _name_groups(groups: Iterable[frozenset]) -> dict:
 
 
 def minimize(a: BlockAutomaton) -> BlockAutomaton:
-    """Merge states with equal right languages (partial-DFA Moore refinement).
+    """Merge states with equal right languages (Hopcroft's partition
+    refinement for partial DFAs, O(m log n); see `_refine`).
 
     Missing transitions are kept missing, so they distinguish states from
     looping ones; the result is the unique minimal trimmed partial DFA.
@@ -488,29 +489,82 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
 
 
 def _quotient(rows: list) -> dict:
-    """Moore refinement of a partial DFA given as ``(state, final, out-edges)``
-    rows in sorted state order, every edge target among the rows' states:
-    map each state to the name of its class of equal right languages.
-    Classes are named by `_name_groups` in the order of their least member,
-    so primed names do not follow the hash seed.  The initial states are
-    not read."""
-    block_of = {q: final for q, final, _ in rows}
-    count = len(set(block_of.values()))
-    while True:
-        ids: dict = {}
-        refined = {}
-        for q, _, edges in rows:
-            signature = (block_of[q], frozenset([(t.label, block_of[t.target]) for t in edges]))
-            refined[q] = ids.setdefault(signature, len(ids))
-        if len(ids) == count:
-            break
-        block_of, count = refined, len(ids)
-    groups: dict[int, list] = {}
-    for q, _, _ in rows:
-        groups.setdefault(refined[q], []).append(q)
-    frozen = [frozenset(g) for g in groups.values()]
+    """Hopcroft refinement of a partial DFA given as ``(state, final,
+    out-edges)`` rows in sorted state order, every edge target among the
+    rows' states: map each state to the name of its class of equal right
+    languages.  Classes are named by `_name_groups` in the order of their
+    least member, so primed names do not follow the hash seed.  The initial
+    states are not read."""
+    block_of: dict = {}
+    blocks: list[set] = [set(), set()]  # non-final, final
+    for q, final, _ in rows:
+        block_of[q] = final  # a bool, so the index of its block
+        blocks[final].add(q)
+    if len(blocks[0]) > 1 or len(blocks[1]) > 1:  # a block can split
+        _refine(rows, block_of, blocks)
+    frozen = [frozenset(blocks[b]) for b in dict.fromkeys(block_of.values())]
     names = _name_groups(frozen)
     return {q: names[group] for group in frozen for q in group}
+
+
+def _refine(rows: list, block_of: dict, blocks: list) -> None:
+    """Split the blocks, in place, until every block's states agree, label
+    by label, on the block their edges enter (Hopcroft, 1971).
+
+    A splitter block splits every block, label by label, into the states
+    with an edge of that label into the splitter and the rest.  The
+    transition function is partial, so there is no sink block to leave out:
+    both initial blocks go on the worklist (Valmari & Lehtinen, STACS 2008).
+    A split leaves the larger part under the old id, still queued if the
+    block was, and queues the smaller part under a new id.  So a state
+    joins a new block at most log n times, a split costs the size of its
+    marked part and a splitter the edges into it: O(m log n) for m edges
+    on n states.  Refinement stops early once every block is one state."""
+    into: dict = {q: {} for q in block_of}  # state -> label -> sources of such edges into it
+    for q, _, edges in rows:
+        for _, label, target in edges:
+            sources = into[target].get(label)
+            if sources is None:
+                into[target][label] = [q]
+            else:
+                sources.append(q)
+    work = [0, 1]  # an empty block splits nothing
+    count = bool(blocks[0]) + bool(blocks[1])  # blocks with states
+    while work and count < len(rows):
+        entering: dict = {}  # label -> the source lists of such edges into the splitter
+        for q in blocks[work.pop()]:
+            for label, sources in into[q].items():
+                found = entering.get(label)
+                if found is None:
+                    entering[label] = [sources]
+                else:
+                    found.append(sources)
+        for lists in entering.values():
+            marked: dict = {}  # block id -> its states with an edge of the label into the splitter
+            for sources in lists:
+                for p in sources:
+                    b = block_of[p]
+                    group = marked.get(b)
+                    if group is None:
+                        marked[b] = [p]
+                    else:
+                        group.append(p)
+            for b, group in marked.items():
+                block = blocks[b]
+                if len(group) == len(block):  # a DFA: `group` lists each state once
+                    continue
+                if 2 * len(group) <= len(block):
+                    part = set(group)
+                    block.difference_update(part)
+                else:
+                    part = block.difference(group)
+                    blocks[b] = set(group)
+                new = len(blocks)
+                blocks.append(part)
+                for p in part:
+                    block_of[p] = new
+                work.append(new)
+                count += 1
 
 
 # --- isomorphism and equivalence --------------------------------------------------

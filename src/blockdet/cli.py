@@ -27,6 +27,9 @@ class CliError(Exception):
     pass
 
 
+_NO_DOT = "--dot applies only to commands that output an automaton"
+
+
 def _read_input(arg: str):
     """An argument is an automaton when it names a file or is `-` (stdin);
     anything else is expression text."""
@@ -52,7 +55,7 @@ def _emit(payload, fmt: str, a: au.BlockAutomaton | None = None, text: str | Non
     payload, or the automaton `a` under `--dot`, refused without one."""
     if fmt == "dot":
         if a is None:
-            raise CliError("--dot applies only to commands that output an automaton")
+            raise CliError(_NO_DOT)
         print(au.to_dot(a))
     elif text is not None and (fmt == "text" or payload is None):
         print(text)
@@ -174,7 +177,7 @@ def _run_bkw(args) -> int:
     value = _read_input(args.input)
     a = bk.minimal_dfa(value) if isinstance(value, sx.RegexAst) else value
     trace = bk.bkw_test(a)
-    # Build only the output `fmt` prints; `--dot` has neither and is refused.
+    # Build only the output `fmt` prints.
     payload = bk.bkw_to_json(trace) if args.fmt == "json" else None
     text = bk.render_trace(trace) if args.fmt == "text" else None
     _emit(payload, args.fmt, text=text)
@@ -205,6 +208,9 @@ def _run_enumerate(args) -> int:
 
 
 def _run_witness(args) -> int:
+    # A claim report, or an expression family's text: never an automaton.
+    if args.fmt == "dot" and (args.verify or args.family.endswith("_expr")):
+        raise CliError(_NO_DOT)
     spec = wt.WitnessSpec(args.family, args.parameter)
     # `verify` refuses a parameter past its cap, so refuse before building.
     report = wt.verify(spec, parameter_cap=args.max_param) if args.verify else None
@@ -253,15 +259,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--text", dest="fmt", action="store_const", const="text")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name: str, run, doc: str, *positional: str) -> argparse.ArgumentParser:
-        """Declare a verb with its handler, which `main` calls as `args.run(args)`."""
+    def verb(
+        name: str, run, doc: str, *positional: str, automaton: bool = True
+    ) -> argparse.ArgumentParser:
+        """Declare a verb with its handler, which `main` calls as
+        `args.run(args)`, and whether it can print an automaton: `main`
+        refuses `--dot` before any work for a verb that cannot."""
         p = sub.add_parser(name, help=doc)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, automaton=automaton)
         for arg in positional:
             p.add_argument(arg)
         return p
 
-    verb("parse", _run_parse, "parse an expression and print its AST", "expression")
+    verb("parse", _run_parse, "parse an expression and print its AST", "expression", automaton=False)
     verb("glushkov", _run_glushkov, "position automaton of an expression", "expression")
     for name, (op, doc) in _OPS.items():
         verb(name, _run_op, doc, "input").set_defaults(op=op)
@@ -269,22 +279,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("eliminate", _run_eliminate, "eliminate one or more states", "input")
     p.add_argument("-q", "--state", action="append", required=True, dest="states")
 
-    verb("equiv", _run_equiv, "language equivalence of two inputs", "left", "right")
+    verb("equiv", _run_equiv, "language equivalence of two inputs", "left", "right", automaton=False)
 
-    p = verb("check", _run_check, "determinism properties of an expression or automaton")
+    p = verb("check", _run_check, "determinism properties of an expression or automaton",
+             automaton=False)
     p.add_argument("property", choices=["one-unambiguous", "block", "lookahead", "min-lookahead"])
     p.add_argument("input")
     p.add_argument("-k", type=int, default=None)
 
-    verb("bkw", _run_bkw, "run the BKW test (expressions go via their minimal DFA)", "input")
+    verb("bkw", _run_bkw, "run the BKW test (expressions go via their minimal DFA)", "input",
+         automaton=False)
 
-    p = verb("certify", _run_certify, "certificate that the language is k-block deterministic")
+    p = verb("certify", _run_certify, "certificate that the language is k-block deterministic",
+             automaton=False)
     p.add_argument("input")
     p.add_argument("-k", type=int, required=True)
 
-    verb("chi", _run_chi, "letter expansion of a block expression", "expression")
+    verb("chi", _run_chi, "letter expansion of a block expression", "expression", automaton=False)
 
-    p = verb("enumerate", _run_enumerate, "accepted words up to a length bound", "input")
+    p = verb("enumerate", _run_enumerate, "accepted words up to a length bound", "input",
+             automaton=False)
     p.add_argument("-n", "--maxlen", type=int, required=True)
 
     p = verb("witness", _run_witness, "build a member of one of the witness families")
@@ -303,6 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.fmt == "dot" and not args.automaton:
+            raise CliError(_NO_DOT)
         return args.run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"blockdet: {exc}", file=sys.stderr)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .automaton import (
     BlockAutomaton,
@@ -26,6 +25,9 @@ from .syntax import RegexAst, parse
 from .transform import eliminable, eliminate, eliminate_set
 
 DEFAULT_PARAMETER_CAP = 6
+# The largest member per parameter is block_Ak's, with 4k + 4 states plus
+# label letters, so this cap keeps every member within 10**6 of them.
+_MAX_PARAMETER = 249_999
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,9 @@ class WitnessSpec:
 
 
 def build(spec: WitnessSpec) -> BlockAutomaton | RegexAst:
+    """The family's member; refused past the size budget before anything is
+    built, also for counterexample_fig7, which reads no parameter."""
+    _check(spec.parameter, 1)
     return _BUILDERS[spec.family](spec.parameter)
 
 
@@ -138,14 +143,20 @@ def chain_elimination_states(k: int) -> set[str]:
 def reblocking_candidates(k: int):
     """Every automaton reachable from the chain automaton by a valid state
     elimination whose width stays below k (the constructed candidates for
-    the impossibility claim at width k-1)."""
-    a = block_ak(k)
+    the impossibility claim at width k-1).
+
+    The subsets of the chain states are walked depth-first, each in
+    ascending state order, the order `eliminate_set` takes: a subset's
+    automaton is one `eliminate` from that of the subset without its last
+    state, so each of the 2^(2k-2) - 1 eliminations is made once."""
     removable = sorted(chain_elimination_states(k))
-    for size in range(len(removable) + 1):
-        for subset in combinations(removable, size):
-            candidate = eliminate_set(a, subset)
-            if candidate.width <= k - 1:
-                yield candidate
+    stack = [(block_ak(k), 0)]  # an automaton, and the first state it may still eliminate
+    while stack:
+        a, start = stack.pop()
+        if a.width <= k - 1:
+            yield a
+        for i in range(start, len(removable)):
+            stack.append((eliminate(a, removable[i]), i + 1))
 
 
 # --- the unary lookahead family --------------------------------------------------
@@ -198,8 +209,12 @@ FAMILIES = tuple(_BUILDERS)
 
 
 def _check(parameter: int, minimum: int):
+    """Refuse a parameter below the family's minimum or past the size
+    budget, before anything is built."""
     if parameter < minimum:
         raise ValueError(f"parameter must be >= {minimum}")
+    if parameter > _MAX_PARAMETER:
+        raise ValueError(f"parameter must be <= {_MAX_PARAMETER}")
 
 
 # --- claim suites -----------------------------------------------------------------

@@ -3,6 +3,7 @@ determinization, minimization, isomorphism, equivalence, enumeration."""
 
 import itertools
 import random
+import signal
 from collections import Counter
 from dataclasses import replace
 
@@ -30,12 +31,13 @@ from blockdet import (
     trim,
 )
 from blockdet import automaton, witnesses
+from blockdet import bkw as bkw_module
 from blockdet.bkw import consistent_symbols, orbit_automaton, s_cut
 from blockdet.syntax import base_language, mark
 from blockdet.transform import eliminable, eliminate
 from blockdet.witnesses import WitnessSpec, block_ak, block_bk, counterexample_fig7, hanwood_mk, unary_aj
 
-from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, random_expression, standardized_counterexample
+from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, nested_orbits, random_expression, standardized_counterexample
 
 
 @pytest.fixture
@@ -413,6 +415,109 @@ class TestMinimize:
             langs = {q: _right_language(m, q, 6) for q in m.states}
             values = list(langs.values())
             assert len({frozenset(v) for v in values}) == len(values)
+
+
+def _moore_quotient(rows: list) -> dict:
+    """The reference for `automaton._quotient`: Moore refinement, which
+    recomputes every state's signature (its block, and the block each label
+    leads to) each round until the block count stops growing, about n rounds
+    on an n-state cycle.  Same rows, same class names."""
+    block_of = {q: final for q, final, _ in rows}
+    count = len(set(block_of.values()))
+    while True:
+        ids: dict = {}
+        refined = {}
+        for q, _, edges in rows:
+            signature = (block_of[q], frozenset([(t.label, block_of[t.target]) for t in edges]))
+            refined[q] = ids.setdefault(signature, len(ids))
+        if len(ids) == count:
+            break
+        block_of, count = refined, len(ids)
+    groups: dict = {}
+    for q, _, _ in rows:
+        groups.setdefault(refined[q], []).append(q)
+    frozen = [frozenset(g) for g in groups.values()]
+    names = automaton._name_groups(frozen)
+    return {q: names[group] for group in frozen for q in group}
+
+
+def _rows(a: BlockAutomaton) -> list:
+    """`minimize`'s rows for `_quotient`."""
+    return [(q, q in a.finals, a.out_edges[q]) for q in sorted(a.states)]
+
+
+class TestQuotient:
+    """Hopcroft refinement against the Moore reference, names included."""
+
+    def test_matches_moore(self, monkeypatch):
+        rng = random.Random(1971)
+        cases = [[]]
+        # Random partial DFAs, untrimmed: missing transitions, several finals,
+        # and twins that only refinement can merge.
+        for run in range(400):
+            states = [f"s{i}" for i in range(rng.randint(1, 40))]
+            labels = "abc"[: 1 + run % 3]
+            finals = {q for q in states if rng.random() < 0.3}
+            moves = {(q, c): rng.choice(states) for q in states for c in labels if rng.random() < 0.7}
+            for q in rng.sample(states, len(states) // 4):  # twins take some in-edges
+                twin = q + "'"
+                moves.update({(twin, c): r for (p, c), r in list(moves.items()) if p == q})
+                moves.update({k: twin for k, r in moves.items() if r == q and rng.random() < 0.5})
+                finals |= {twin} if q in finals else set()
+                states.append(twin)
+            edges: dict = {q: [] for q in states}
+            for (p, c), r in moves.items():
+                edges[p].append(Transition(p, BlockSymbol(c), r))
+            cases.append([(q, q in finals, edges[q]) for q in sorted(states)])
+        # The paper's cycles, and the exp ladder's DFAs, which Moore needs
+        # n + 1 rounds for.
+        cases += [_rows(unary_aj(j)) for j in range(1, 13)]
+        cases += [_rows(hanwood_mk(k)) for k in range(2, 13)]
+        for n in range(1, 7):
+            g = glushkov(parse("(a+b)*a" + "(a+b)" * n)).automaton
+            cases.append(_rows(determinize(g)))
+        # BKW orbit rows, with the out-gates as finals.
+        real = bkw_module._quotient
+
+        def recording(rows):
+            cases.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(bkw_module, "_quotient", recording)
+        before = len(cases)
+        expressions = [random_expression(rng, 10, 2) for _ in range(300)]
+        expressions += [parse(nested_orbits(d)) for d in range(1, 7)]
+        expressions.append(parse("(" + "+".join(f"[{x}{y}]" for x in "abc" for y in "abc") + ")*[zz]"))
+        for e in expressions:
+            d = determinize(expand_blocks(glushkov(e).automaton))
+            bkw_module.bkw_test(d)  # unminimized, so its orbits can merge states
+            bkw_module.bkw_test(minimize(d))
+        merged = []
+        for rows in cases:
+            expected = _moore_quotient(rows)
+            assert automaton._quotient(rows) == expected
+            merged.append(len(set(expected.values())) < len(rows))
+        assert sum(merged) > 100
+        assert len(cases) - before > 200 and sum(merged[before:]) > 10
+
+    def test_long_cycle_is_not_quadratic(self):
+        # unary_Aj(4000) is an 8,001-state cycle with finals at offsets 0
+        # and 4000.  Moore refinement needs 4,000 rounds over all of it,
+        # about a minute; Hopcroft's a fraction of a second.  The timer
+        # turns a quadratic regression into a failure, not a hang.
+        a = unary_aj(4000)
+
+        def expire(signum, frame):
+            raise TimeoutError("minimize(unary_aj(4000)) took over 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            m = minimize(a)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert isomorphic(m, a)
 
 
 class TestIsomorphic:

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -475,14 +476,43 @@ class TestErrors:
         assert code == 2
 
     def test_huge_parameter_is_exit_2_not_fail(self, capsys):
-        # Building the family's text overflows the index size.
-        families = ["hanwood_Ek_expr", "hanwood_Fk_expr", "block_Bk", "block_expr", "unary_Ej_expr"]
-        for family in families:
-            assert run(capsys, "witness", family, "-k", "100000000000000000000") == (
-                2,
-                "",
-                "blockdet: input too large to process (OverflowError)\n",
-            )
+        # Past the size budget every family refuses before building: a
+        # 10^20-state list or a 2 * 10^20-letter expression would never end.
+        def expire(signum, frame):
+            raise TimeoutError("a builder ran past the budget")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            for family in FAMILIES:
+                for k in (250_000, 10**20):
+                    assert run(capsys, "witness", family, "-k", str(k)) == (
+                        2,
+                        "",
+                        "blockdet: parameter must be <= 249999\n",
+                    )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_dot_refused_before_any_work(self, capsys, monkeypatch):
+        # Verbs that never print an automaton, and witness --verify and the
+        # expression families, refuse --dot before any work: the checker,
+        # the reader and the builders are never called, and parse and -k
+        # errors come second.
+        def fail(*args):
+            raise AssertionError("ran before refusing --dot")
+
+        monkeypatch.setattr("blockdet.determinism.is_k_block_deterministic", fail)
+        union = "+".join(["aaaaa"] * 400)
+        assert run(capsys, "--dot", "check", "block", "-k", "5", union) == (2, "", _DOT_REFUSED)
+        assert run(capsys, "--dot", "check", "block", "(") == (2, "", _DOT_REFUSED)
+        monkeypatch.setattr("blockdet.cli._read_input", fail)
+        monkeypatch.setattr("blockdet.cli.sx.parse", fail)
+        monkeypatch.setattr("blockdet.witnesses.verify", fail)
+        monkeypatch.setattr("blockdet.witnesses.build", fail)
+        for argv in TestVerbFormatMatrix.REPORTS + TestVerbFormatMatrix.EXPRESSIONS:
+            assert run(capsys, "--dot", *argv) == (2, "", _DOT_REFUSED)
 
     def test_verify_refuses_before_building(self, capsys, monkeypatch):
         # A member with 10^20 states would never be built.

@@ -1,5 +1,7 @@
 """The parameterized witness families and their claim suites."""
 
+from itertools import combinations
+
 import pytest
 
 from blockdet import (
@@ -30,10 +32,25 @@ from blockdet.witnesses import (
     unary_ej_expr,
 )
 
+from blockdet.transform import eliminate_set
+
 from conftest import min_dfa_two_block
 
 
 class TestBuilders:
+    def test_size_budget(self):
+        # block_Ak(249999) has 10^6 states plus label letters, the most of any
+        # family; larger parameters are refused before anything is built.
+        builders = [hanwood_mk, hanwood_ek_expr, hanwood_fk_expr, block_ak, block_bk, block_expr,
+                    unary_aj, unary_ej_expr]
+        for k in (250_000, 10**20):
+            for family in FAMILIES:
+                with pytest.raises(ValueError, match="parameter must be <= 249999"):
+                    build(WitnessSpec(family, k))
+            for builder in builders:
+                with pytest.raises(ValueError, match="parameter must be <= 249999"):
+                    builder(k)
+
     def test_block_ak_k2_exact(self):
         a = block_ak(2)
         assert a.states == frozenset({"β2", "β1", "α2", "α1", "f"})
@@ -138,6 +155,21 @@ class TestFamilyFacts:
         candidates = list(reblocking_candidates(k))
         assert candidates, "the search space must not be empty"
         assert all(not certify_k_block_language(c, k - 1) for c in candidates)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_reblocking_candidates_match_per_subset_elimination(self, k):
+        # Each candidate is one elimination from its parent's; the reference
+        # eliminates every subset of the chain states from scratch.
+        a = block_ak(k)
+        removable = sorted(chain_elimination_states(k))
+        expected = set()
+        for size in range(len(removable) + 1):
+            for subset in combinations(removable, size):
+                c = eliminate_set(a, subset)
+                if c.width <= k - 1:
+                    expected.add(c.transitions)
+        found = [c.transitions for c in reblocking_candidates(k)]
+        assert len(found) == len(set(found)) and set(found) == expected
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_block_expression_language(self, k):

@@ -27,9 +27,6 @@ class CliError(Exception):
     pass
 
 
-_NO_DOT = "--dot applies only to commands that output an automaton"
-
-
 def _read_input(arg: str):
     """An argument is an automaton when it names a file or is `-` (stdin);
     anything else is expression text."""
@@ -51,11 +48,10 @@ def _as_automaton(value) -> au.BlockAutomaton:
 
 
 def _emit(payload, fmt: str, a: au.BlockAutomaton | None = None, text: str | None = None):
-    """Print `payload` as JSON, `text` under `--text` or when there is no
-    payload, or the automaton `a` under `--dot`, refused without one."""
-    if fmt == "dot":
-        if a is None:
-            raise CliError(_NO_DOT)
+    """Print the automaton `a` under `--dot`, `text` under `--text` or when
+    there is no payload, and `payload` as JSON otherwise.  `main` refuses
+    `--dot` before any work for a command that prints no automaton."""
+    if fmt == "dot" and a is not None:
         print(au.to_dot(a))
     elif text is not None and (fmt == "text" or payload is None):
         print(text)
@@ -208,9 +204,6 @@ def _run_enumerate(args) -> int:
 
 
 def _run_witness(args) -> int:
-    # A claim report, or an expression family's text: never an automaton.
-    if args.fmt == "dot" and (args.verify or args.family.endswith("_expr")):
-        raise CliError(_NO_DOT)
     spec = wt.WitnessSpec(args.family, args.parameter)
     # `verify` refuses a parameter past its cap, so refuse before building.
     report = wt.verify(spec, parameter_cap=args.max_param) if args.verify else None
@@ -260,18 +253,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def verb(
-        name: str, run, doc: str, *positional: str, automaton: bool = True
+        name: str, run, doc: str, *positional: str, automaton=lambda args: True
     ) -> argparse.ArgumentParser:
         """Declare a verb with its handler, which `main` calls as
-        `args.run(args)`, and whether it can print an automaton: `main`
-        refuses `--dot` before any work for a verb that cannot."""
+        `args.run(args)`, and `automaton`, which tells from the parsed
+        arguments whether the verb prints an automaton: `main` refuses
+        `--dot` before any work when it does not."""
         p = sub.add_parser(name, help=doc)
         p.set_defaults(run=run, automaton=automaton)
         for arg in positional:
             p.add_argument(arg)
         return p
 
-    verb("parse", _run_parse, "parse an expression and print its AST", "expression", automaton=False)
+    def never(args) -> bool:
+        return False
+
+    verb("parse", _run_parse, "parse an expression and print its AST", "expression", automaton=never)
     verb("glushkov", _run_glushkov, "position automaton of an expression", "expression")
     for name, (op, doc) in _OPS.items():
         verb(name, _run_op, doc, "input").set_defaults(op=op)
@@ -279,29 +276,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("eliminate", _run_eliminate, "eliminate one or more states", "input")
     p.add_argument("-q", "--state", action="append", required=True, dest="states")
 
-    verb("equiv", _run_equiv, "language equivalence of two inputs", "left", "right", automaton=False)
+    verb("equiv", _run_equiv, "language equivalence of two inputs", "left", "right", automaton=never)
 
     p = verb("check", _run_check, "determinism properties of an expression or automaton",
-             automaton=False)
+             automaton=never)
     p.add_argument("property", choices=["one-unambiguous", "block", "lookahead", "min-lookahead"])
     p.add_argument("input")
     p.add_argument("-k", type=int, default=None)
 
     verb("bkw", _run_bkw, "run the BKW test (expressions go via their minimal DFA)", "input",
-         automaton=False)
+         automaton=never)
 
     p = verb("certify", _run_certify, "certificate that the language is k-block deterministic",
-             automaton=False)
+             automaton=never)
     p.add_argument("input")
     p.add_argument("-k", type=int, required=True)
 
-    verb("chi", _run_chi, "letter expansion of a block expression", "expression", automaton=False)
+    verb("chi", _run_chi, "letter expansion of a block expression", "expression", automaton=never)
 
     p = verb("enumerate", _run_enumerate, "accepted words up to a length bound", "input",
-             automaton=False)
+             automaton=never)
     p.add_argument("-n", "--maxlen", type=int, required=True)
 
-    p = verb("witness", _run_witness, "build a member of one of the witness families")
+    # A claim report, or an expression family's text: never an automaton.
+    p = verb(
+        "witness",
+        _run_witness,
+        "build a member of one of the witness families",
+        automaton=lambda args: not (args.verify or args.family.endswith("_expr")),
+    )
     p.add_argument("family", choices=wt.FAMILIES)
     p.add_argument("-k", "--parameter", type=int, required=True)
     p.add_argument("--verify", action="store_true")
@@ -317,8 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.fmt == "dot" and not args.automaton:
-            raise CliError(_NO_DOT)
+        if args.fmt == "dot" and not args.automaton(args):
+            raise CliError("--dot applies only to commands that output an automaton")
         return args.run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"blockdet: {exc}", file=sys.stderr)

@@ -624,6 +624,19 @@ class TestErrors:
         assert code == 2
         assert err.startswith("blockdet: input too large to process")
 
+    def test_overflow_error_is_exit_2_not_fail(self, capsys, monkeypatch):
+        # No witness parameter reaches an OverflowError since the size
+        # budget, so raise one where a checker would.
+        def overflow(value):
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+        monkeypatch.setattr("blockdet.bkw.is_one_unambiguous", overflow)
+        assert run(capsys, "check", "one-unambiguous", "a") == (
+            2,
+            "",
+            "blockdet: input too large to process (OverflowError)\n",
+        )
+
 
 def _two_chains() -> BlockAutomaton:
     """Two a-chains of 1500 and 1499 states off one initial state: both

@@ -212,7 +212,7 @@ class BkwNode:
     failure: str | None
     violating_orbit: frozenset | None = None
     violating_pair: tuple | None = None
-    context: str | None = None
+    contexts: tuple = field(default=())  # one per child: how this analysis reaches it
     children: tuple = field(default=())
 
     @property
@@ -232,31 +232,32 @@ def bkw_test(a: BlockAutomaton) -> BkwTrace:
     On a minimal DFA the verdict decides one-unambiguity of the language;
     on a merely deterministic automaton a passing verdict is a sufficient
     certificate.  Each distinct automaton met is analysed once, children
-    first, and every parent shares its node.
+    first, into one node that every parent shares.
     """
     if a.states and not is_deterministic(a):
         raise ValueError("the BKW test needs a deterministic automaton")
     a = trim(a)
     root = (a.transitions, a.initials, a.finals)  # determines a trimmed automaton
-    steps: dict = {}
+    steps: dict = {}  # key -> (its node's fields, its children's keys), then its node
 
     def successors(key):
-        steps[key] = _, edges = _bkw_step(key)
-        return [child for _, child in edges]
+        steps[key] = _, keys = _bkw_step(key)
+        return keys
 
     for key in postorder([root], successors):  # children first
-        fields, edges = steps[key]
-        fields["children"] = tuple(BkwNode(**steps[c][0], context=w) for w, c in edges)
-        if not all(child.ok for child in fields["children"]):
+        fields, keys = steps[key]
+        children = tuple([steps[c] for c in keys])
+        if not all(child.ok for child in children):
             fields["failure"] = "recursion"
-    node = BkwNode(**steps[root][0])
+        steps[key] = BkwNode(**fields, children=children)
+    node = steps[root]
     return BkwTrace(node.ok, node)
 
 
 def _bkw_step(key: tuple) -> tuple[dict, list]:
     """The fields of the node of the trimmed automaton that ``key`` =
-    (transitions, initials, finals) determines, but its context and
-    children, and per child its context and key.
+    (transitions, initials, finals) determines, with its children's
+    contexts, and its children's keys.
 
     One edge table serves the whole analysis: the S-cut drops the
     consistent symbols from the finals' rows in place, and the orbits,
@@ -281,7 +282,7 @@ def _bkw_step(key: tuple) -> tuple[dict, list]:
         fields.update(orbit_property_holds=False, failure="orbit-property",
                       violating_orbit=holds.orbit, violating_pair=holds.pair)
         return fields, []
-    children = []
+    contexts, keys = [], []
     for states, members, out, trivial in orbits:
         if trivial:
             continue
@@ -297,53 +298,57 @@ def _bkw_step(key: tuple) -> tuple[dict, list]:
         merged_finals = frozenset([rename[q] for q in out])
         label = "{" + ",".join(states) + "}"
         for q in states:
-            key = (inside, frozenset([rename[q]]), merged_finals)
-            children.append((f"orbit {label} from {q}, minimized", key))
-    return fields, children
+            contexts.append(f"orbit {label} from {q}, minimized")
+            keys.append((inside, frozenset([rename[q]]), merged_finals))
+    fields["contexts"] = tuple(contexts)
+    return fields, keys
 
 
-def _preorder(root: BkwNode):
-    """Each node of the tree under `root` with its depth, parents first."""
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+def _steps(trace: BkwTrace) -> tuple[list, dict]:
+    """The distinct nodes of the trace, each once, breadth-first in
+    first-visit order, and their step numbers keyed on ``id``: a node's
+    hash recurses through its children."""
+    nodes, number = [trace.steps], {id(trace.steps): 0}
+    for node in nodes:  # grows while it is walked
+        for child in node.children:
+            if id(child) not in number:
+                number[id(child)] = len(nodes)
+                nodes.append(child)
+    return nodes, number
 
 
 def bkw_to_json(trace: BkwTrace) -> dict:
-    path: list = [[]]  # path[d] collects the nodes at depth d under the current path
-    for node, depth in _preorder(trace.steps):
+    nodes, number = _steps(trace)
+    steps = []
+    for node in nodes:
         data = {
             "fingerprint": node.fingerprint,
             "S": list(node.consistent),
             "orbitProperty": node.orbit_property_holds,
             "failure": node.failure,
-            "children": [],
+            "children": [
+                {"context": w, "step": number[id(c)]} for w, c in zip(node.contexts, node.children)
+            ],
         }
         if node.violating_orbit is not None:
             data["violatingOrbit"] = sorted(node.violating_orbit)
         if node.violating_pair is not None:
             data["violatingPair"] = list(node.violating_pair)
-        if node.context is not None:
-            data["context"] = node.context
-        del path[depth + 1 :]
-        path[depth].append(data)
-        path.append(data["children"])
-    return {"verdict": trace.verdict, "steps": path[0][0]}
+        steps.append(data)
+    return {"verdict": trace.verdict, "steps": steps}
 
 
 def render_trace(trace: BkwTrace) -> str:
     lines = [f"verdict: {'pass' if trace.verdict else 'fail'}"]
-    for node, depth in _preorder(trace.steps):
-        pad = "  " * depth
-        head = node.context or "input"
-        lines.append(f"{pad}{head}: {node.fingerprint}, S={{{','.join(node.consistent)}}}")
+    nodes, number = _steps(trace)
+    for i, node in enumerate(nodes):
+        lines.append(f"step {i}: {node.fingerprint}, S={{{','.join(node.consistent)}}}")
         if node.failure == "orbit-property":
             orbit = ",".join(sorted(node.violating_orbit or ()))
-            lines.append(f"{pad}  FAIL orbit property on {{{orbit}}} (pair {node.violating_pair})")
+            lines.append(f"  FAIL orbit property on {{{orbit}}} (pair {node.violating_pair})")
         elif node.failure == "no-consistent-symbol":
-            lines.append(f"{pad}  FAIL single non-trivial orbit without a consistent symbol")
+            lines.append("  FAIL single non-trivial orbit without a consistent symbol")
+        lines += [f"  {w}: step {number[id(c)]}" for w, c in zip(node.contexts, node.children)]
     return "\n".join(lines)
 
 

@@ -38,13 +38,13 @@ class WitnessSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        minimum = 2 if self.family.startswith("hanwood") else 1
+        minimum = _FAMILIES[self.family][1]
         if self.parameter < minimum:
             raise ValueError(f"{self.family} needs a parameter >= {minimum}")
 
 
 def build(spec: WitnessSpec) -> BlockAutomaton | RegexAst:
-    return _BUILDERS[spec.family](spec.parameter)
+    return _FAMILIES[spec.family][0](spec.parameter)
 
 
 # --- the Han-Wood family: one language, shrinking block width -------------------
@@ -198,20 +198,6 @@ def _fig7(k: int) -> BlockAutomaton:
     return counterexample_fig7()
 
 
-_BUILDERS = {  # in the order the CLI usage text lists the families
-    "hanwood_Mk": hanwood_mk,
-    "hanwood_Ek_expr": hanwood_ek_expr,
-    "hanwood_Fk_expr": hanwood_fk_expr,
-    "block_Ak": block_ak,
-    "block_Bk": block_bk,
-    "block_expr": block_expr,
-    "unary_Aj": unary_aj,
-    "unary_Ej_expr": unary_ej_expr,
-    "counterexample_fig7": _fig7,
-}
-FAMILIES = tuple(_BUILDERS)
-
-
 def _check(parameter: int, minimum: int):
     """Refuse a parameter below the family's minimum or past the size
     budget, before anything is built."""
@@ -247,15 +233,7 @@ def verify(spec: WitnessSpec, parameter_cap: int = DEFAULT_PARAMETER_CAP) -> Ver
         raise ValueError(
             f"parameter {spec.parameter} exceeds the verification cap {parameter_cap}"
         )
-    k = spec.parameter
-    if spec.family.startswith("hanwood"):
-        claims = _verify_hanwood(k)
-    elif spec.family.startswith("block"):
-        claims = _verify_block(k)
-    elif spec.family.startswith("unary"):
-        claims = _verify_unary(k)
-    else:
-        claims = _verify_fig7()
+    claims = _FAMILIES[spec.family][2](spec.parameter)
     return VerificationReport(spec.family, spec.parameter, tuple(claims))
 
 
@@ -335,3 +313,19 @@ def _verify_fig7() -> list[Claim]:
         Claim("elimination yields a 2-block deterministic automaton", bool(is_k_block_deterministic(rewired, 2))),
         Claim("the result certifies 2-block determinism", certify_k_block_language(rewired, 2)),
     ]
+
+
+# Each family once: its builder, its least parameter and its group's claim
+# suite, in the order the CLI usage text lists the families.
+_FAMILIES = {
+    "hanwood_Mk": (hanwood_mk, 2, _verify_hanwood),
+    "hanwood_Ek_expr": (hanwood_ek_expr, 2, _verify_hanwood),
+    "hanwood_Fk_expr": (hanwood_fk_expr, 2, _verify_hanwood),
+    "block_Ak": (block_ak, 1, _verify_block),
+    "block_Bk": (block_bk, 1, _verify_block),
+    "block_expr": (block_expr, 1, _verify_block),
+    "unary_Aj": (unary_aj, 1, _verify_unary),
+    "unary_Ej_expr": (unary_ej_expr, 1, _verify_unary),
+    "counterexample_fig7": (_fig7, 1, lambda k: _verify_fig7()),
+}
+FAMILIES = tuple(_FAMILIES)

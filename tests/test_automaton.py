@@ -686,6 +686,8 @@ class TestValidation:
     def test_initials_must_be_states(self):
         with pytest.raises(ValueError):
             BlockAutomaton.make(states={"p"}, initials={"q"})
+        with pytest.raises(ValueError, match="^final states must be states$"):
+            BlockAutomaton.make(states={"p"}, finals={"q"})
 
     def test_labels_must_be_in_alphabet(self):
         from blockdet import BlockSymbol, Transition

@@ -78,6 +78,8 @@ class TestOrbitDecomposition:
         assert orbit.out_gates == frozenset({"4"})  # final
         assert orbit.in_gates == frozenset({"4"})  # entered from outside
         assert dec.orbit_of("i").in_gates == frozenset({"i"})  # initial
+        with pytest.raises(KeyError, match="zz"):
+            dec.orbit_of("zz")
 
     def test_matches_reachability_quotient(self):
         # Cross-check the SCC computation against the mutual-reachability
@@ -341,14 +343,16 @@ class TestOrbitReRooting:
             if root.orbit_property_holds is not True:
                 continue
             cut = s_cut(m, consistent_symbols(m))
-            children = iter(root.children)
+            children = iter(zip(root.contexts, root.children, strict=True))
             for orbit in orbit_decomposition(cut).nontrivial():
+                label = "{" + ",".join(sorted(orbit.states)) + "}"
                 subtrees = set()
                 for q in sorted(orbit.states):
-                    child = next(children)
+                    context, child = next(children)
                     sub = minimize(orbit_automaton(cut, q))
-                    assert child == replace(bkw_test(sub).steps, context=child.context)
-                    subtrees.add(replace(child, context=None))
+                    assert context == f"orbit {label} from {q}, minimized"
+                    assert child == bkw_test(sub).steps
+                    subtrees.add(child)
                     checked += 1
                 rooted += len(subtrees) > 1  # the start state shows in the subtree
             assert next(children, None) is None
@@ -372,12 +376,12 @@ class TestOrbitReRooting:
         orbit = sorted(a.states - {"i", "zz_64"})
         label = "{" + ",".join(orbit) + "}"
         calls.clear()
-        children = bkw_test(a).steps.children
+        root = bkw_test(a).steps
         assert len(calls) == 1
-        assert [c.context for c in children] == [
-            f"orbit {label} from {q}, minimized" for q in orbit
-        ]
-        assert {c.fingerprint for c in children} == {"1 states, 63 transitions"}
+        assert list(root.contexts) == [f"orbit {label} from {q}, minimized" for q in orbit]
+        # every re-rooting merges into the one state: one node, 63 edges to it
+        assert len(root.children) == 63 and len({id(c) for c in root.children}) == 1
+        assert root.children[0].fingerprint == "1 states, 63 transitions"
 
 
 class TestSharedNodes:
@@ -432,47 +436,111 @@ class TestSharedNodes:
         assert counts["step"] > 100 and counts["symbols"] == counts["step"]
 
     def test_writers_match_a_recursive_reference(self):
-        def node_json(node):
+        # The reference writes the expanded tree, a context on each child;
+        # the writers print each distinct node once, as a numbered step.
+        def node_json(node, context):
             data = {
                 "fingerprint": node.fingerprint,
                 "S": list(node.consistent),
                 "orbitProperty": node.orbit_property_holds,
                 "failure": node.failure,
-                "children": [node_json(child) for child in node.children],
+                "children": [node_json(c, w) for w, c in zip(node.contexts, node.children)],
             }
             if node.violating_orbit is not None:
                 data["violatingOrbit"] = sorted(node.violating_orbit)
             if node.violating_pair is not None:
                 data["violatingPair"] = list(node.violating_pair)
-            if node.context is not None:
-                data["context"] = node.context
+            if context is not None:
+                data["context"] = context
             return data
 
-        def text_lines(node, depth):
+        def text_lines(node, context, depth):
             pad = "  " * depth
-            yield f"{pad}{node.context or 'input'}: {node.fingerprint}, S={{{','.join(node.consistent)}}}"
+            yield f"{pad}{context}: {node.fingerprint}, S={{{','.join(node.consistent)}}}"
             if node.failure == "orbit-property":
                 orbit = ",".join(sorted(node.violating_orbit))
                 yield f"{pad}  FAIL orbit property on {{{orbit}}} (pair {node.violating_pair})"
             elif node.failure == "no-consistent-symbol":
                 yield f"{pad}  FAIL single non-trivial orbit without a consistent symbol"
-            for child in node.children:
-                yield from text_lines(child, depth + 1)
+            for w, child in zip(node.contexts, node.children, strict=True):
+                yield from text_lines(child, w, depth + 1)
+
+        def expand_json(steps, i, context):
+            data = dict(steps[i])
+            data["children"] = [expand_json(steps, c["step"], c["context"]) for c in data["children"]]
+            if context is not None:
+                data["context"] = context
+            return data
+
+        def text_steps(text):
+            """(head, FAIL lines, [(context, step)]) per step of `render_trace`."""
+            steps = []
+            for line in text.splitlines()[1:]:
+                if line.startswith("step "):
+                    number, head = line[len("step "):].split(": ", 1)
+                    assert int(number) == len(steps)
+                    steps.append((head, [], []))
+                elif line.startswith("  FAIL "):
+                    steps[-1][1].append(line)
+                else:
+                    context, _, j = line[2:].rpartition(": step ")
+                    steps[-1][2].append((context, int(j)))
+            return steps
+
+        def expand_text(steps, i, context, depth):
+            head, fails, children = steps[i]
+            yield f"{'  ' * depth}{context}: {head}"
+            yield from ("  " * depth + line for line in fails)
+            for w, j in children:
+                yield from expand_text(steps, j, w, depth + 1)
+
+        def first_visits(children_of):
+            """Step numbers in the order the steps' child lists first name them."""
+            seen = [0]
+            for children in children_of:
+                seen += [j for j in children if j not in seen]
+            return seen
 
         rng = random.Random(99)
-        automata = [minimal_dfa(parse(nested_orbits(d))) for d in range(1, 6)]
+        cd = ["[ab]"]
+        for _ in range(5):
+            cd.append(f"([cd]{cd[-1]})*[dd]")
+        automata = [minimal_dfa(parse(nested_orbits(d))) for d in range(1, 9)]
+        automata += [minimal_dfa(parse(text)) for text in cd[1:]]
         automata += [_random_minimal_dfa(rng) for _ in range(80)]
         automata += [minimal_dfa(random_expression(rng, 7, 2)) for _ in range(80)]
         failures = set()
+        shared = 0
         for a in automata:
             trace = bkw_test(a)
-            assert json.dumps(bkw_to_json(trace)) == json.dumps(
-                {"verdict": trace.verdict, "steps": node_json(trace.steps)}
+            distinct, stack = {}, [trace.steps]
+            while stack:
+                node = stack.pop()
+                if id(node) not in distinct:
+                    distinct[id(node)] = node
+                    stack.extend(node.children)
+            data = bkw_to_json(trace)
+            assert list(data) == ["verdict", "steps"] and len(data["steps"]) == len(distinct)
+            assert first_visits([c["step"] for c in s["children"]] for s in data["steps"]) == list(
+                range(len(distinct))
+            )
+            assert json.dumps({**data, "steps": expand_json(data["steps"], 0, None)}) == json.dumps(
+                {"verdict": trace.verdict, "steps": node_json(trace.steps, None)}
             )
             verdict = f"verdict: {'pass' if trace.verdict else 'fail'}"
-            assert render_trace(trace) == "\n".join([verdict, *text_lines(trace.steps, 0)])
+            text = render_trace(trace)
+            steps = text_steps(text)
+            assert text.splitlines()[0] == verdict and len(steps) == len(distinct)
+            assert [[j for _, j in children] for _, _, children in steps] == [
+                [c["step"] for c in s["children"]] for s in data["steps"]
+            ]
+            assert "\n".join([verdict, *expand_text(steps, 0, "input", 0)]) == "\n".join(
+                [verdict, *text_lines(trace.steps, "input", 0)]
+            )
             failures |= _collect_failures(trace.steps)
+            shared += len(distinct) < sum(1 for _ in _tree(trace.steps))
         assert failures == {"orbit-property", "no-consistent-symbol", "recursion"}
+        assert shared > 10
 
 
 _NO_RECURSION_SCRIPT = """
@@ -485,18 +553,18 @@ for _ in range(30):
 dfa = minimal_dfa(parse(text))
 chain = BkwNode("1 states, 0 transitions", (), True, None)
 for level in range(3000):
-    chain = BkwNode("1 states, 1 transitions", ("a",), True, None, context=f"level {level}",
-                    children=(chain,))
+    chain = BkwNode("1 states, 1 transitions", ("a",), True, None,
+                    contexts=(f"level {level}",), children=(chain,))
 sys.setrecursionlimit(20)
 verdict = bkw_test(dfa).verdict
-data = bkw_to_json(BkwTrace(True, chain))["steps"]
+steps = bkw_to_json(BkwTrace(True, chain))["steps"]
 rendered = render_trace(BkwTrace(True, chain)).splitlines()
-depth = 0
-while data["children"]:
-    data = data["children"][0]
+depth, step = 0, steps[0]
+while step["children"]:
+    step = steps[step["children"][0]["step"]]
     depth += 1
 sys.setrecursionlimit(1000)
-print(json.dumps([verdict, depth, len(rendered), rendered[-1]]))
+print(json.dumps([verdict, depth, len(steps), len(rendered), rendered[-2:]]))
 """
 
 
@@ -513,8 +581,9 @@ def test_bkw_needs_no_recursion():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    deepest = " " * 6000 + "input: 1 states, 0 transitions, S={}"
-    assert json.loads(done.stdout) == [True, 3000, 3002, deepest]
+    # a verdict line, then per level a step line and its child's line
+    deepest = ["  level 0: step 3000", "step 3000: 1 states, 0 transitions, S={}"]
+    assert json.loads(done.stdout) == [True, 3000, 3001, 6002, deepest]
 
 
 class TestIsOneUnambiguous:
@@ -591,10 +660,26 @@ class TestTraceSerialization:
         trace = bkw_test(min_dfa_two_block())
         data = bkw_to_json(trace)
         assert data["verdict"] is False
-        steps = data["steps"]
-        assert {"fingerprint", "S", "orbitProperty", "failure", "children"} <= set(steps)
-        assert steps["failure"] == "orbit-property"
-        assert steps["violatingOrbit"] == ["1", "i"]
+        (step,) = data["steps"]
+        assert list(step) == [
+            "fingerprint", "S", "orbitProperty", "failure", "children", "violatingOrbit", "violatingPair"
+        ]
+        assert step["failure"] == "orbit-property" and step["children"] == []
+        assert step["violatingOrbit"] == ["1", "i"]
+        assert step["violatingPair"] == list(trace.steps.violating_pair)
+
+    def test_children_name_their_step(self):
+        steps = bkw_to_json(bkw_test(minimal_dfa(parse(nested_orbits(2)))))["steps"]
+        assert [[(c["context"], c["step"]) for c in s["children"]] for s in steps] == [
+            [
+                ("orbit {{a_3,c_2},{c_1,d_4}} from {a_3,c_2}, minimized", 1),
+                ("orbit {{a_3,c_2},{c_1,d_4}} from {c_1,d_4}, minimized", 2),
+            ],
+            [("orbit {{a_3,c_2}} from {a_3,c_2}, minimized", 3)],
+            [],
+            [],
+        ]
+        assert all(list(c) == ["context", "step"] for s in steps for c in s["children"])
 
     def test_children_recorded(self):
         trace = bkw_test(minimal_dfa(parse("(a+b)*a+eps")))
@@ -623,6 +708,15 @@ def _random_minimal_dfa(rng):
         ],
     )
     return minimize(dfa)
+
+
+def _tree(node):
+    """Each node of the expanded tree under `node`, parents first."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def _collect_failures(node):

@@ -58,6 +58,11 @@ class TestParseVerb:
         code, out, err = run(capsys, "parse", "a+")
         assert code == 2
         assert "blockdet:" in err
+        assert run(capsys, "check", "block", "-k", "1", "(a") == (
+            2,
+            "",
+            "blockdet: cannot parse expression '(a': expected ) (at column 2)\n",
+        )
 
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["parse"]) == 2
@@ -204,7 +209,8 @@ class TestBkwVerb:
         code, data = run_json(capsys, "bkw", str(path))
         assert code == 1
         assert data["verdict"] is False
-        assert data["steps"]["failure"] == "orbit-property"
+        (step,) = data["steps"]
+        assert step["failure"] == "orbit-property" and step["children"] == []
 
     def test_expression_goes_via_minimal_dfa(self, capsys):
         code, data = run_json(capsys, "bkw", "(a+b)*a+eps")
@@ -237,6 +243,24 @@ class TestBkwVerb:
         code, out, err = run(capsys, "--dot", "bkw", "(a+b)*a")
         assert (code, out, built) == (2, "", [])
         assert err == "blockdet: --dot applies only to commands that output an automaton\n"
+
+    def test_shared_steps_print_once(self, capsys):
+        # 12 nested orbits: 79 analyses, whose expanded tree has 217,010,224
+        # nodes.  A writer that expands it again runs out of time here.
+        def expire(signum, frame):
+            raise TimeoutError("bkw expanded the shared trace")
+
+        text = nested_orbits(12)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            for fmt in ("--json", "--text"):
+                code, out, err = run(capsys, fmt, "bkw", text)
+                assert (code, err) == (0, "") and len(out) < 10**6
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(re.findall("^step ", out, re.M)) == 12 * 13 // 2 + 1
 
     def test_nested_orbits_answer(self, capsys):
         # 20 nested orbits: each distinct automaton is analysed once, and
@@ -764,9 +788,11 @@ class TestHashSeedIndependence:
             ["certify", "-k", "3", tag_group],
             ["bkw", tag_file],
             ["--text", "bkw", tag_file],
-            # subtrees shared across nodes
+            # subtrees shared across nodes, each printed once
             ["bkw", nested_orbits(5)],
             ["--text", "bkw", nested_orbits(5)],
+            ["bkw", nested_orbits(12)],
+            ["--text", "bkw", nested_orbits(12)],
             ["det", wide_file],
             ["equiv", left, right],
             ["--text", "equiv", left, right],
@@ -779,9 +805,13 @@ class TestHashSeedIndependence:
             ),
         ]
         first, second = _run_corpus(corpus)
-        # a nested orbit, indented under its parent
-        assert "\n    orbit {@3,cca_3,{@1,@2}} from cca_3," in first and '"violations": [\n      [' in first
-        assert first.count("minimized: 1 states, 63 transitions") == 63
+        # a nested orbit, listed under its parent's step
+        assert "\n  orbit {@3,cca_3,{@1,@2}} from cca_3, minimized: step 8\n" in first
+        assert '"violations": [\n      [' in first
+        assert len(re.findall(r"ddc_63\} from \w+, minimized: step 1\n", first)) == 63
+        assert "\nstep 1: 1 states, 63 transitions, S={aaa,aab," in first
+        five = first.split(str(["--text", "bkw", nested_orbits(5)]))[1].split("\n[")[0]
+        assert len(re.findall("^step ", five, re.M)) == 5 * 6 // 2 + 1
         assert '"from": "{q0,q2,q3}"' in first
         assert '"counterexample": "' in first and '\ncounterexample: "' in first
         assert '"context": "orbit {o_10,{l_11,u_9}} from {l_11,u_9}, minimized"' in first

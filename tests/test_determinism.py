@@ -122,6 +122,8 @@ class TestKLookahead:
     def test_width_rejected(self):
         with pytest.raises(ValueError):
             is_k_lookahead_deterministic(glushkov_two_block(), 2)
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            is_k_lookahead_deterministic(glushkov(parse("a")).automaton, 0)
 
     def test_monotone_in_k(self, width1_corpus):
         for expr in width1_corpus:
@@ -246,6 +248,10 @@ class TestOracle:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             marked_language_oracle("nope", parse("a"), 1, 3)
+        with pytest.raises(ValueError, match="^maxlen must be >= 0$"):
+            marked_language_oracle("block", parse("a"), 1, -1)
+        with pytest.raises(ValueError, match="^lookahead determinism is defined on width-1 expressions$"):
+            marked_language_oracle("lookahead", parse("[ab]"), 1, 3)
 
     def test_agreement_on_corpus(self, block_corpus):
         for expr in block_corpus:

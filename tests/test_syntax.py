@@ -32,6 +32,7 @@ from blockdet.syntax import (
     Position,
     Star,
     Union,
+    fold,
     language,
 )
 
@@ -114,6 +115,7 @@ class TestParse:
             ("a(+b)", "expected an expression", 2),
             ("[]", "empty block []", 0),
             ("[ab", "unterminated block literal", 0),
+            ("[a b]", "block letters must be alphanumeric", 1),
             ("a&b", "unexpected character '&'", 1),
         ],
     )
@@ -172,6 +174,12 @@ class TestMark:
     def test_untrimmed_rejected(self):
         with pytest.raises(ValueError):
             mark(parse("a+empty"))
+        with pytest.raises(ValueError, match="^expression is already marked$"):
+            mark(mark(parse("a")).ast)
+
+    def test_fold_rejects_a_non_node(self):
+        with pytest.raises(TypeError, match="^not an expression node: 'a'$"):
+            fold(Star("a"), None, None, None, None)
 
     def test_empty_alone_is_trimmed(self):
         assert is_trimmed(Empty())
@@ -207,6 +215,10 @@ class TestPositions:
         assert table.follow[ab2] == {b3}
         assert table.follow[b3] == {b6}
         assert table.last == {b3, a5, b6}
+
+    def test_unmarked_rejected(self):
+        with pytest.raises(ValueError, match="^symbol occurs twice, input is not marked: a$"):
+            positions(parse("a+a"))
 
     def test_epsilon_table(self):
         table = positions(mark(Epsilon()))
@@ -274,6 +286,8 @@ class TestJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             ast_from_json({"kind": "nope"})
+        with pytest.raises(ValueError, match="^expression JSON must be an object with a 'kind' field$"):
+            ast_from_json(["star"])
 
 
 # Runs every expression walk under a recursion limit far below the inputs'

@@ -235,6 +235,9 @@ class TestBlockComplete:
     def test_mid_block_start(self):
         marked = mark(parse("([aba]+[abb])*[aa]"))
         assert not is_block_complete(phi(marked.positions[0])[1:], marked)
+        aba, abb = phi(marked.positions[0]), phi(marked.positions[1])
+        assert not is_block_complete(aba[:1] + abb[1:], marked)  # offsets cross blocks
+        assert not is_block_complete(aba[:2] + aba, marked)  # a block restarts mid-way
 
     def test_foreign_symbol_rejected(self):
         marked = mark(parse("([aba]+[abb])*[aa]"))

@@ -97,6 +97,8 @@ class TestBuilders:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             WitnessSpec("hanwood_Mk", 1)
+        with pytest.raises(ValueError, match="^parameter must be >= 2$"):
+            hanwood_mk(1)
         with pytest.raises(ValueError):
             WitnessSpec("block_Ak", 0)
         with pytest.raises(ValueError):

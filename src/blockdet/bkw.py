@@ -202,9 +202,10 @@ def orbit_automaton(a: BlockAutomaton, state: str) -> BlockAutomaton:
 # --- the BKW test -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BkwNode:
-    """One step of the BKW test: the analysis of one automaton."""
+    """One step of the BKW test: the analysis of one automaton, which every
+    parent shares, so it compares by identity."""
 
     fingerprint: str
     consistent: tuple
@@ -212,8 +213,8 @@ class BkwNode:
     failure: str | None
     violating_orbit: frozenset | None = None
     violating_pair: tuple | None = None
-    contexts: tuple = field(default=())  # one per child: how this analysis reaches it
-    children: tuple = field(default=())
+    contexts: tuple = field(default=(), repr=False)  # one per child: how this analysis reaches it
+    children: tuple = field(default=(), repr=False)
 
     @property
     def ok(self) -> bool:
@@ -306,13 +307,12 @@ def _bkw_step(key: tuple) -> tuple[dict, list]:
 
 def _steps(trace: BkwTrace) -> tuple[list, dict]:
     """The distinct nodes of the trace, each once, breadth-first in
-    first-visit order, and their step numbers keyed on ``id``: a node's
-    hash recurses through its children."""
-    nodes, number = [trace.steps], {id(trace.steps): 0}
+    first-visit order, and their step numbers."""
+    nodes, number = [trace.steps], {trace.steps: 0}
     for node in nodes:  # grows while it is walked
         for child in node.children:
-            if id(child) not in number:
-                number[id(child)] = len(nodes)
+            if child not in number:
+                number[child] = len(nodes)
                 nodes.append(child)
     return nodes, number
 
@@ -327,7 +327,7 @@ def bkw_to_json(trace: BkwTrace) -> dict:
             "orbitProperty": node.orbit_property_holds,
             "failure": node.failure,
             "children": [
-                {"context": w, "step": number[id(c)]} for w, c in zip(node.contexts, node.children)
+                {"context": w, "step": number[c]} for w, c in zip(node.contexts, node.children)
             ],
         }
         if node.violating_orbit is not None:
@@ -348,7 +348,7 @@ def render_trace(trace: BkwTrace) -> str:
             lines.append(f"  FAIL orbit property on {{{orbit}}} (pair {node.violating_pair})")
         elif node.failure == "no-consistent-symbol":
             lines.append("  FAIL single non-trivial orbit without a consistent symbol")
-        lines += [f"  {w}: step {number[id(c)]}" for w, c in zip(node.contexts, node.children)]
+        lines += [f"  {w}: step {number[c]}" for w, c in zip(node.contexts, node.children)]
     return "\n".join(lines)
 
 

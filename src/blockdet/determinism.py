@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .automaton import BlockAutomaton, _clashing_pairs
 from .glushkov import glushkov
-from .syntax import RegexAst, language, mark, parse, to_text, width
+from .syntax import RegexAst, language, mark, width
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def marked_language_oracle(kind: str, expr: RegexAst, k: int, maxlen: int) -> Or
         raise ValueError("kind must be 'block' or 'lookahead'")
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
-    prefixes = _marked_prefixes(to_text(expr), maxlen)
+    prefixes = _marked_prefixes(expr, maxlen)
     if kind == "block":
         if width(expr) > k:
             return OracleResult(False, None)
@@ -128,10 +128,9 @@ def _prefix_tree(words: Iterable[tuple]) -> dict:
     return children
 
 
-# Keyed on the expression's text: hashing the AST itself recurses per level.
 @lru_cache(maxsize=256)
-def _marked_prefixes(text: str, maxlen: int) -> dict:
-    return _prefix_tree(language(mark(parse(text)).ast, maxlen))
+def _marked_prefixes(expr: RegexAst, maxlen: int) -> dict:
+    return _prefix_tree(language(mark(expr).ast, maxlen))
 
 
 def _first_clash(prefixes: dict, clash) -> OracleResult:

@@ -56,8 +56,7 @@ class BlockSymbol(str):
         letters = self.letters
         return letters if len(letters) == 1 else f"[{letters}]"
 
-    def __str__(self) -> str:
-        return self.pretty()
+    __str__ = pretty
 
     def __format__(self, spec: str) -> str:
         return format(self.pretty(), spec)
@@ -82,48 +81,56 @@ class Position(NamedTuple):
     def pretty(self) -> str:
         return f"{self.block.pretty()}_{self.index}"
 
-    def __str__(self) -> str:
-        return self.pretty()
+    __str__ = pretty
 
 
 class RegexAst:
-    """Base class of expression nodes."""
+    """Base class of expression nodes.  Expressions are equal, and hash alike,
+    by structure and literal symbols at any depth: both read `_postfix`."""
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegexAst):
+            return NotImplemented
+        return _postfix(self) == _postfix(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_postfix(self)))
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Empty(RegexAst):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Epsilon(RegexAst):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(RegexAst):
     # BlockSymbol in plain expressions; Position / ExpandedSymbol in derived ones.
     symbol: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Union(RegexAst):
     left: RegexAst
     right: RegexAst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat(RegexAst):
     left: RegexAst
     right: RegexAst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(RegexAst):
     child: RegexAst
 
@@ -153,6 +160,16 @@ def fold(ast: RegexAst, leaf, union, concat, star):
         else:
             raise TypeError(f"not an expression node: {node!r}")
     return values[0]
+
+
+def _postfix(ast: RegexAst) -> list:
+    """The expression in postfix order, which determines it: each literal's
+    symbol, and the class of every other node after its children's."""
+    out: list = []
+    leaf = lambda node: out.append(node.symbol if isinstance(node, Literal) else type(node))
+    inner = lambda cls: lambda *_: out.append(cls)
+    fold(ast, leaf, inner(Union), inner(Concat), inner(Star))
+    return out
 
 
 # --- parsing ---------------------------------------------------------------
@@ -247,14 +264,13 @@ def to_text(ast: RegexAst) -> str:
         text, prec = part
         return f"({text})" if prec < min_prec else text
 
-    text, _ = fold(
+    return fold(
         ast,
         lambda leaf: (_leaf_text(leaf), 4),
         lambda left, right: (left[0] + "+" + wrap(right, 2), 1),
         lambda left, right: (_join(wrap(left, 2), wrap(right, 3)), 2),
         lambda child: (wrap(child, 3) + "*", 3),
-    )
-    return text
+    )[0]
 
 
 def _leaf_text(leaf: RegexAst) -> str:
@@ -262,8 +278,7 @@ def _leaf_text(leaf: RegexAst) -> str:
         return "empty"
     if isinstance(leaf, Epsilon):
         return "eps"
-    pretty = getattr(leaf.symbol, "pretty", None)
-    return pretty() if pretty is not None else str(leaf.symbol)
+    return str(leaf.symbol)
 
 
 def _join(left: str, right: str) -> str:
@@ -291,15 +306,7 @@ class MarkedExpression:
 
 def literal_symbols(ast: RegexAst) -> Iterator:
     """Leaf symbols in left-to-right order."""
-    symbols: list = []
-
-    def leaf(node: RegexAst) -> None:
-        if isinstance(node, Literal):
-            symbols.append(node.symbol)
-
-    skip = lambda *_: None
-    fold(ast, leaf, skip, skip, skip)
-    return iter(symbols)
+    return (s for s in _postfix(ast) if not isinstance(s, type))
 
 
 def width(ast: RegexAst) -> int:
@@ -309,10 +316,7 @@ def width(ast: RegexAst) -> int:
 
 def is_trimmed(ast: RegexAst) -> bool:
     """True iff the expression is `empty` itself or contains no `empty` node."""
-    if isinstance(ast, Empty):
-        return True
-    either = lambda left, right: left or right
-    return not fold(ast, lambda leaf: isinstance(leaf, Empty), either, either, bool)
+    return isinstance(ast, Empty) or Empty not in _postfix(ast)
 
 
 def mark(ast: RegexAst) -> MarkedExpression:
@@ -338,11 +342,8 @@ def mark(ast: RegexAst) -> MarkedExpression:
 def drop(value: MarkedExpression | RegexAst) -> RegexAst:
     """Remove indices (and flatten expanded letters) back to a plain expression."""
     ast = value.ast if isinstance(value, MarkedExpression) else value
-    return fold(ast, _drop_leaf, Union, Concat, Star)
-
-
-def _drop_leaf(node: RegexAst) -> RegexAst:
-    return Literal(node.symbol.drop()) if isinstance(node, Literal) else node
+    leaf = lambda node: Literal(node.symbol.drop()) if isinstance(node, Literal) else node
+    return fold(ast, leaf, Union, Concat, Star)
 
 
 # --- position functions ------------------------------------------------------

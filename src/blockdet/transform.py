@@ -89,8 +89,7 @@ class ExpandedSymbol:
     def pretty(self) -> str:
         return f"{self.letter}@{self.block_index}.{self.offset}"
 
-    def __str__(self) -> str:
-        return self.pretty()
+    __str__ = pretty
 
 
 def phi(position: Position) -> tuple[ExpandedSymbol, ...]:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import string
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from blockdet import (
     parse,
     s_cut,
 )
-from blockdet.bkw import render_trace
+from blockdet.bkw import BkwTrace, render_trace
 from blockdet.witnesses import block_ak, block_bk, hanwood_mk
 
 from conftest import (
@@ -351,8 +352,9 @@ class TestOrbitReRooting:
                     context, child = next(children)
                     sub = minimize(orbit_automaton(cut, q))
                     assert context == f"orbit {label} from {q}, minimized"
-                    assert child == bkw_test(sub).steps
-                    subtrees.add(child)
+                    analysed = bkw_to_json(BkwTrace(child.ok, child))
+                    assert analysed == bkw_to_json(bkw_test(sub))
+                    subtrees.add(json.dumps(analysed))
                     checked += 1
                 rooted += len(subtrees) > 1  # the start state shows in the subtree
             assert next(children, None) is None
@@ -411,6 +413,30 @@ class TestSharedNodes:
                     nodes += 1
                     stack.extend(stack.pop().children)
                 assert nodes == tree_sizes[depth]
+
+    def test_nodes_compare_by_identity(self):
+        # 79 analyses unfold to a 217-million-node tree: hashing, comparing
+        # or printing a node must not walk it.
+        def expire(signum, frame):
+            raise TimeoutError("a node walked the tree it unfolds to")
+
+        trace, again = [bkw_test(minimal_dfa(parse(nested_orbits(12)))) for _ in range(2)]
+        previous = signal.signal(signal.SIGALRM, expire)
+        try:
+            for value, other in [(trace.steps, again.steps), (trace, again)]:
+                for op in (hash, repr, lambda x: x == x, lambda x: x == other):
+                    signal.setitimer(signal.ITIMER_REAL, 0.1)
+                    op(value)
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert repr(trace.steps) == (
+            "BkwNode(fingerprint='14 states, 25 transitions', consistent=(), "
+            "orbit_property_holds=True, failure=None, violating_orbit=None, violating_pair=None)"
+        )
+        assert again.steps != trace.steps and again != trace
+        assert bkw_to_json(again) == bkw_to_json(trace)  # to compare traces
 
     def test_one_consistent_symbols_per_analysis(self, monkeypatch):
         # `_bkw_step` cuts with the symbols it has just computed, without
@@ -557,6 +583,7 @@ for level in range(3000):
                     contexts=(f"level {level}",), children=(chain,))
 sys.setrecursionlimit(20)
 verdict = bkw_test(dfa).verdict
+assert hash(chain) == hash(chain) and chain == chain and repr(chain).startswith("BkwNode(")
 steps = bkw_to_json(BkwTrace(True, chain))["steps"]
 rendered = render_trace(BkwTrace(True, chain)).splitlines()
 depth, step = 0, steps[0]

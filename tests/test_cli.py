@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -843,3 +844,165 @@ class TestHashSeedIndependence:
         corpus = [[fmt, *argv] for fmt in ("--json", "--text", "--dot") for argv in commands]
         first, second = _run_corpus(corpus)
         assert second == first
+
+
+# Runs each argv through `main` and reports, rather than lets through, an
+# exception `main` lets escape; anything else ends the child and fails.
+_CONTRACT_SCRIPT = """
+import contextlib, io, json, sys, traceback
+from blockdet.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = traceback.format_exc()
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+_CONTRACT_CPU_S = 20
+_CONTRACT_MEMORY = 1 << 30  # bytes of address space
+
+
+def _limited():
+    """Caps the child's CPU time and address space; runs in the child only."""
+    resource.setrlimit(resource.RLIMIT_CPU, (_CONTRACT_CPU_S, _CONTRACT_CPU_S))
+    resource.setrlimit(resource.RLIMIT_AS, (_CONTRACT_MEMORY, _CONTRACT_MEMORY))
+
+
+def _contract_corpus(tmp_path: Path) -> list:
+    """The adversarial commands, fixed ones first, then seeded random ones
+    drawn from per-verb pools of hostile arguments.  Left out: `enumerate
+    -n` past a few letters, which has no size budget."""
+    files = {
+        "list": [],
+        "null": None,
+        "no_states": {"initials": ["i"], "finals": [], "transitions": []},
+        "empty_label": {
+            "states": ["i", "p"], "initials": ["i"], "finals": ["p"],
+            "transitions": [{"from": "i", "label": "", "to": "p"}],
+        },
+        "undeclared_label": {
+            "states": ["i", "p"], "initials": ["i"], "finals": ["p"], "alphabet": ["a"],
+            "transitions": [{"from": "i", "label": "b", "to": "p"}],
+        },
+        "list_transitions": {
+            "states": ["i", "p"], "initials": ["i"], "finals": ["p"], "transitions": [["i", "a", "p"]],
+        },
+        "nfa": to_json(glushkov_two_lookahead()),
+        "block_nfa": to_json(glushkov_two_block()),
+        "dfa": to_json(min_dfa_two_block()),
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    path = {name: str(tmp_path / f"{name}.json") for name in files}
+    deep, union = "(" * 3000 + "a" + ")" * 3000, "+".join(["a"] * 5000)
+    huge = str(10**30)
+    corpus = [
+        ["witness", family, "-k", k, *verify]
+        for family in FAMILIES
+        for k in ("250000", str(10**20))
+        for verify in ([], ["--verify"])
+    ]
+    corpus += [
+        ["check", prop, text, "-k", k]
+        for prop in ("block", "lookahead")
+        for k in (huge, "0", "-3")
+        for text in ("(a+b)*a", path["nfa"])
+    ]
+    corpus += [[*verb, deep] for verb in (
+        ["parse"], ["glushkov"], ["chi"], ["trim"], ["std"], ["expand"], ["det"], ["min"],
+        ["bkw"], ["check", "one-unambiguous"], ["check", "min-lookahead"],
+        ["check", "block", "-k", "1"], ["check", "lookahead", "-k", "2"],
+        ["certify", "-k", huge], ["enumerate", "-n", "3"], ["eliminate", "-q", "a_1"],
+    )]
+    corpus += [["equiv", deep, "a"], ["--text", "parse", union], ["bkw", union]]
+    corpus += [["check", "one-unambiguous", union]]
+    corpus += [
+        [*verb, path[name]]
+        for name in files
+        for verb in (["min"], ["bkw"], ["det"], ["check", "one-unambiguous"])
+    ]
+    corpus += [["--dot", "check", "block", "a*", "-k", "1"], ["--dot", "bkw", "a*"]]
+    corpus += [["--dot", "enumerate", "a*", "-n", "2"]]
+
+    rng = random.Random(19)
+    texts = [to_text(random_expression(rng, 5, 1 + i % 3)) for i in range(15)]
+    texts += ["", "(", "a+", "[]", "[a b]", "a&b", "eps", "empty", "a**", nested_orbits(3)]
+    inputs = texts + list(path.values()) + [str(tmp_path / "missing.json"), "-k"]
+    # A pool lists alternatives for one place of the command; a tuple is
+    # spliced in, so () leaves an optional argument out.
+    k = [("-k", v) for v in ("1", "2", "3", "0", "-3", huge, "x")] + [()]
+    pools = {
+        "parse": [texts], "glushkov": [texts], "chi": [texts],
+        **{op: [inputs] for op in ("trim", "std", "expand", "det", "min", "bkw")},
+        "eliminate": [inputs, [("-q", q) for q in ("a_1", "a_2", "b_3", "i", "q", "")] + [("-q",)]],
+        "equiv": [inputs, inputs],
+        "check": [["one-unambiguous", "block", "lookahead", "min-lookahead", "nope"], inputs, k],
+        "certify": [inputs, k],
+        "enumerate": [inputs, [("-n", n) for n in ("0", "2", "-3", "x")] + [()]],
+        "witness": [
+            [*FAMILIES, "nope"],
+            [("-k", v) for v in ("1", "2", "0", "-3", "250000", str(10**20))],
+            [(), ("--verify",), ("--verify", "--max-param", "3"), ("--verify", "--max-param", "-3"),
+             ("--max-param", huge)],
+        ],
+    }
+    for _ in range(300):
+        verb = rng.choice(sorted(pools))
+        argv = [*rng.choice([(), ("--json",), ("--text",), ("--dot",)]), verb]
+        for pool in pools[verb]:
+            choice = rng.choice(pool)
+            if rng.random() < 0.97:  # else a required argument may go missing
+                argv += choice if isinstance(choice, tuple) else [choice]
+        if rng.random() < 0.05:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(inputs))
+        corpus.append(argv)
+    return corpus
+
+
+def test_exit_code_contract(tmp_path):
+    # 0 = holds, 1 = fails, 2 = error, on every command: hostile inputs end
+    # in one of the three, with no traceback, inside the child's limits.
+    src = str(Path(blockdet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    corpus = _contract_corpus(tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_SCRIPT],
+        input=json.dumps(corpus),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=4 * _CONTRACT_CPU_S,
+        preexec_fn=_limited,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    results = json.loads(done.stdout)
+    assert len(results) == len(corpus)
+    for argv, (code, out, err) in zip(corpus, results):
+        shown = [arg if len(arg) < 40 else arg[:20] + "…" for arg in argv]
+        assert code in (0, 1, 2), (shown, code)
+        assert "Traceback" not in err, (shown, err)
+        # An error says why on stderr; an answer is printed on stdout alone.
+        assert bool(err) == (code == 2) and bool(out) == (code != 2), (shown, code, out, err)
+    codes = [code for code, _, _ in results]
+    assert min(codes.count(code) for code in (0, 1, 2)) >= 10  # the corpus reaches all three
+    # The same contract through `python -m blockdet`.
+    for argv, expected in [
+        (["check", "one-unambiguous", "(a+b)*a"], (0, '{\n  "one_unambiguous": true\n}\n', "")),
+        (["--text", "check", "block", "a+ab", "-k", "2"], (1, "2-block deterministic: False\n", "")),
+        (["witness", "unary_Aj", "-k", str(10**20)], (2, "", "blockdet: parameter must be <= 249999\n")),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "blockdet", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=4 * _CONTRACT_CPU_S,
+            preexec_fn=_limited,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == expected

@@ -1,6 +1,7 @@
 """Dead-code guard: every import of a module in `blockdet` is used, and every
 module-level function or class is referenced by some module; a public one
-may instead be exported by the package's `__init__`."""
+may instead be exported by the package's `__init__`.  Also a recursion
+guard: no function of the package calls itself by name."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,37 @@ def test_every_private_definition_is_referenced():
 
 def test_every_public_definition_is_exported_or_referenced():
     assert not _unreferenced(public=True)
+
+
+def _self_calls(tree: ast.Module) -> list:
+    """The calls a function makes to itself by name: ``f(...)`` inside ``f``
+    (nested functions included), or ``self.f(...)`` / ``cls.f(...)``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = func.attr if func.value.id in ("self", "cls") else None
+            else:
+                name = getattr(func, "id", None)
+            if name == node.name:
+                found.append(f"{node.name} (line {call.lineno})")
+    return found
+
+
+def test_no_function_calls_itself():
+    # No traversal may depend on Python's recursion limit.
+    sample = ast.parse(
+        "def f(n):\n    return f(n - 1)\n"
+        "class C:\n    def g(self):\n        return self.g() + self.h.g()\n"
+        "def outer():\n    def inner():\n        return inner()\n    return len(outer)\n"
+    )
+    assert _self_calls(sample) == ["f (line 2)", "g (line 5)", "inner (line 8)"]
+    recursive = [
+        f"{module}: {call}" for module, tree in _modules().items() for call in _self_calls(tree)
+    ]
+    assert not recursive

@@ -12,6 +12,7 @@ from blockdet import (
     is_k_block_deterministic_expression,
     is_k_lookahead_deterministic,
     is_k_lookahead_deterministic_expression,
+    mark,
     marked_language_oracle,
     min_lookahead,
     parse,
@@ -226,11 +227,12 @@ class TestExpressionChecks:
 
 class TestOracle:
     def test_block_example_holds(self):
-        assert marked_language_oracle("block", parse("[aa]*([ab]b+ba)b*"), 2, 4).verdict
+        result = marked_language_oracle("block", parse("[aa]*([ab]b+ba)b*"), 2, 4)
+        assert result.verdict and bool(result) is True
 
     def test_block_counterexample_witness(self):
         result = marked_language_oracle("block", parse("a+[ab]"), 2, 2)
-        assert not result.verdict
+        assert not result.verdict and bool(result) is False
         prefix, b1, b2 = result.witness
         assert prefix == ()
         assert {b1.block.letters, b2.block.letters} == {"a", "ab"}
@@ -244,6 +246,19 @@ class TestOracle:
             assert is_k_block_deterministic_expression(Empty(), k).verdict
             assert marked_language_oracle("lookahead", Empty(), k, 4).verdict
             assert is_k_lookahead_deterministic_expression(Empty(), k).verdict
+
+    def test_prefixes_are_cached_on_the_expression(self):
+        from blockdet.determinism import _marked_prefixes
+
+        _marked_prefixes.cache_clear()
+        first = marked_language_oracle("block", parse("(a+b)*[ab]"), 2, 4)
+        again = marked_language_oracle("block", parse("( a + b )*([ab])"), 2, 4)
+        assert first == again
+        assert _marked_prefixes.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_marked_input_rejected(self):
+        with pytest.raises(ValueError, match="^expression is already marked$"):
+            marked_language_oracle("block", mark(parse("ab")).ast, 1, 3)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

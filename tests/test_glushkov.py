@@ -67,8 +67,18 @@ class TestShapeCheck:
             assert check_glushkov_shape(glushkov(expr).automaton)
 
     def test_min_dfa_not_homogeneous(self):
-        # State 4 is entered by `a` from 2 and by `b` from 3.
+        # State 4 is entered by `a` from 2 and by `b` from 3; the check stops
+        # earlier, though, since the initial state is re-entered from 1.
         assert not check_glushkov_shape(min_dfa_two_block())
+
+    def test_two_entering_labels_not_homogeneous(self):
+        # Standard, but state 2 is entered by `a` from i and by `b` from 1.
+        edges = [("i", "a", "2"), ("i", "b", "1"), ("1", "b", "2")]
+        a = BlockAutomaton.make(states={"i", "1", "2"}, initials={"i"}, finals={"2"}, transitions=edges)
+        assert not check_glushkov_shape(a)
+        edges[2] = ("1", "a", "2")
+        a = BlockAutomaton.make(states={"i", "1", "2"}, initials={"i"}, finals={"2"}, transitions=edges)
+        assert check_glushkov_shape(a)
 
     def test_edge_into_initial_not_standard(self):
         a = BlockAutomaton.make(

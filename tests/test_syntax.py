@@ -147,6 +147,45 @@ class TestPrint:
         ast = Union(lit("a"), Union(lit("b"), lit("c")))
         assert parse(to_text(ast)) == ast
 
+    def test_str_is_to_text(self):
+        ast = parse("([ab]+c)*eps")
+        assert str(ast) == to_text(ast) == "([ab]+c)*eps"
+        assert f"{ast}" == "([ab]+c)*eps"
+
+
+class TestEquality:
+    """Expressions are equal, and hash alike, by structure and symbols."""
+
+    def test_structure_decides(self):
+        for left, right in [
+            ("a+b", "b+a"),
+            ("(ab)c", "a(bc)"),
+            ("(a+b)+c", "a+(b+c)"),
+            ("a*b", "(ab)*"),
+            ("a**", "a*"),
+            ("eps", "empty"),
+            ("eps", "a"),
+            ("[ab]", "ab"),
+        ]:
+            assert parse(left) != parse(right), (left, right)
+
+    def test_equal_values_hash_alike(self):
+        for left, right in [("[a]", "a"), ("(a)", "a"), ("a.b", "ab"), ("(a+b)*c", "(a+b)*c")]:
+            assert parse(left) == parse(right)
+            assert hash(parse(left)) == hash(parse(right))
+        assert len({parse("a+b"), parse("b+a"), parse("(a+b)"), Union(lit("a"), lit("b"))}) == 2
+
+    def test_marked_differs_from_plain(self):
+        ast = parse("ab*")
+        assert mark(ast).ast != ast
+        assert mark(ast) == mark(ast)
+        assert drop(mark(ast)) == ast
+
+    def test_other_types_are_not_expressions(self):
+        assert parse("a") != "a"
+        assert parse("a") != BlockSymbol("a")
+        assert parse("eps") != ()
+
 
 class TestMark:
     def test_union_tail_example(self):
@@ -291,8 +330,8 @@ class TestJson:
 
 
 # Runs every expression walk under a recursion limit far below the inputs'
-# depth, so a walk that recurses per node fails here.  Results are compared
-# as to_text strings and counts: AST and dict equality recurse themselves.
+# depth, so a walk that recurses per node fails here.  Round trips are
+# compared as values, and expressions are hashed.
 _DEEP_SCRIPT = """
 import json, sys
 from blockdet import (
@@ -302,15 +341,23 @@ from blockdet.determinism import marked_language_oracle
 from blockdet.syntax import language
 from blockdet.transform import chi
 sys.setrecursionlimit(120)
-for text in json.loads(sys.argv[1]):
+texts, pairs = json.load(sys.stdin)
+for text in texts:
     ast = parse(text)
     marked = mark(ast)
     table = positions(marked)
     automaton = glushkov(ast).automaton
+    again = parse(to_text(ast))
     print(json.dumps({
         "text": to_text(ast),
-        "chi": to_text(drop(chi(marked))),
-        "json": to_text(ast_from_json(ast_to_json(ast))),
+        "equal": [
+            again == ast,
+            ast_from_json(ast_to_json(ast)) == ast,
+            drop(marked) == ast,
+            mark(ast) == marked,
+            drop(chi(marked)) == ast,
+            hash(again) == hash(ast),
+        ],
         "table": [
             len(marked.positions),
             table.nullable,
@@ -324,6 +371,9 @@ for text in json.loads(sys.argv[1]):
         "words": len(language(ast, 2)),
         "oracle": marked_language_oracle("block", ast, 1, 2).verdict,
     }))
+for text, other in pairs:
+    ast, same, different = parse(text), parse(text), parse(other)
+    print(json.dumps([same == ast, hash(same) == hash(ast), different != ast]))
 """
 
 
@@ -346,11 +396,18 @@ def test_deep_inputs_need_no_recursion():
         stars: (stars, [1, True, 1, 1, 1], [2, 2], 3, True),
         "(" * n + "a" + ")*" * n: (stars, [1, True, 1, 1, 1], [2, 2], 3, True),
     }
+    # Compared and hashed only: each with an expression that differs last.
+    wide = 100_000
+    pairs = [
+        ("+".join(["a"] * wide), "+".join(["a"] * (wide - 1) + ["b"])),
+        ("a" + "*" * 5000, "a" + "*" * 4999),
+    ]
     src = str(Path(blockdet.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _DEEP_SCRIPT, json.dumps(list(cases))],
+        [sys.executable, "-c", _DEEP_SCRIPT],
+        input=json.dumps([list(cases), pairs]),
         env=env,
         capture_output=True,
         text=True,
@@ -358,13 +415,12 @@ def test_deep_inputs_need_no_recursion():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.splitlines()
-    assert len(lines) == len(cases)
+    assert len(lines) == len(cases) + len(pairs)
     for line, (text, table, automaton, words, oracle) in zip(lines, cases.values()):
         got = json.loads(line)
         assert got == {
             "text": text,
-            "chi": text,
-            "json": text,
+            "equal": [True] * 6,
             "table": table,
             "automaton": automaton,
             "width": 1,
@@ -372,6 +428,7 @@ def test_deep_inputs_need_no_recursion():
             "words": words,
             "oracle": oracle,
         }
+    assert [json.loads(line) for line in lines[len(cases) :]] == [[True] * 3] * len(pairs)
 
 
 def test_width():

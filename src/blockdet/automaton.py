@@ -72,39 +72,39 @@ class BlockAutomaton:
     def width(self) -> int:
         return max((b.width for b in self.alphabet), default=0)
 
-    def sorted_transitions(self) -> list[Transition]:
-        return sorted(self.transitions)
-
     # The per-state edge index and the lookahead table: built on first use
     # and kept with the automaton, so every walk over one automaton shares
-    # them.  Read-only.  Lists follow the iteration order of the transition
-    # set, which varies with the hash seed: sort a state's group where its
-    # order reaches output.
+    # them.  Read-only.  States and each state's row are in sorted order.
 
     @cached_property
     def out_edges(self) -> dict[str, list[Transition]]:
         """Map every state to the transitions leaving it."""
-        out: dict = {q: [] for q in self.states}
-        for t in self.transitions:
-            out[t.source].append(t)
-        return out
+        return _edge_table(self.states, self.transitions, 0)
 
     @cached_property
     def in_edges(self) -> dict[str, list[Transition]]:
         """Map every state to the transitions entering it."""
-        into: dict = {q: [] for q in self.states}
-        for t in self.transitions:
-            into[t.target].append(t)
-        return into
+        return _edge_table(self.states, self.transitions, 2)
 
     @cached_property
     def common_depths(self) -> array:
-        """For each pair of same-label transitions leaving one state, in the
-        order of ``_clashing_pairs(self.out_edges)``: the length of the
-        longest label word that both targets read, or -1 when they read
+        """One depth per clashing pair, in sorted pair order: the length of
+        the longest label word that both targets read, or -1 when they read
         common words of every length.  Defined on width-1 automata, where
-        the clashing pairs are exactly the same-label ones."""
+        the clashing pairs are the pairs of same-label transitions leaving
+        one state."""
         return _common_depths(self)
+
+
+def _edge_table(states, transitions, end: int) -> dict:
+    """Map each state, in sorted order, to the transitions that have it at
+    ``end`` (0: the source, 2: the target), in sorted order."""
+    table: dict = {q: [] for q in sorted(states)}
+    for t in transitions:
+        table[t[end]].append(t)
+    for row in table.values():
+        row.sort()
+    return table
 
 
 def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
@@ -254,10 +254,10 @@ def postorder(roots: Iterable, successors) -> list | None:
 
 def _clashing_pairs(edges: dict):
     """Pairs (t1, t2) of one state's out-edges, t1 before t2 in sorted order,
-    whose t2 label equals or extends t1's.  Sorted, those labels follow t1 in
-    one run, so the scan stops at the first label that does not extend it."""
-    for leaving in edges.values():
-        ts = sorted(leaving)
+    whose t2 label equals or extends t1's, yielded in sorted order from an
+    out_edges index.  Sorted, those labels follow t1 in one run, so the scan
+    stops at the first label that does not extend it."""
+    for ts in edges.values():
         for i, t1 in enumerate(ts):
             j = i + 1
             while j < len(ts) and ts[j].label.startswith(t1.label):
@@ -382,7 +382,7 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
     symbols = {c: BlockSymbol(c) for b in a.alphabet for c in b}
     chains: dict[tuple[str, str], str] = {}
     transitions: list[Transition] = []
-    for t in a.sorted_transitions():
+    for t in sorted(a.transitions):
         letters = t.label  # a str: slices and letters are plain strs
         source = t.source
         for offset in range(1, len(letters)):
@@ -478,8 +478,7 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
     if not is_deterministic(a) and a.states:
         raise ValueError("minimize expects a deterministic automaton")
     a = trim(a)
-    edges = a.out_edges
-    rename = _quotient([(q, q in a.finals, edges[q]) for q in sorted(a.states)])
+    rename = _quotient([(q, q in a.finals, row) for q, row in a.out_edges.items()])
     return _trusted(
         rename.values(),
         [rename[q] for q in a.initials],
@@ -585,7 +584,7 @@ def _canonical(a: BlockAutomaton):
     order = deque(number)
     while order:
         q = order.popleft()
-        for t in sorted(edges[q], key=lambda t: t.label):
+        for t in edges[q]:
             if t.target not in number:
                 number[t.target] = len(number)
                 order.append(t.target)
@@ -669,7 +668,7 @@ def to_json(a: BlockAutomaton) -> dict:
         "states": sorted(a.states),
         "initials": sorted(a.initials),
         "finals": sorted(a.finals),
-        "transitions": [transition_to_json(t) for t in a.sorted_transitions()],
+        "transitions": [transition_to_json(t) for t in sorted(a.transitions)],
     }
 
 
@@ -678,16 +677,25 @@ def transition_to_json(t: Transition) -> dict:
 
 
 def from_json(data: Mapping) -> BlockAutomaton:
+    """Read what `to_json` writes: each field a JSON array, each name and
+    label a JSON string, each transition an object."""
+
+    def array(name: str, values, kind=str) -> list:
+        if isinstance(values, list) and all(isinstance(v, kind) for v in values):
+            return values
+        where = "" if isinstance(values, list) else " in an array"
+        raise TypeError(f"{name} must be {'objects' if kind is dict else 'strings'}{where}")
+
     try:
         return BlockAutomaton.make(
-            states=[str(q) for q in data["states"]],
-            initials=[str(q) for q in data["initials"]],
-            finals=[str(q) for q in data["finals"]],
+            states=array("states", data["states"]),
+            initials=array("initials", data["initials"]),
+            finals=array("finals", data["finals"]),
             transitions=[
-                (str(t["from"]), str(t["label"]), str(t["to"]))
-                for t in data["transitions"]
+                array("transition from, label and to", [t["from"], t["label"], t["to"]])
+                for t in array("transitions", data["transitions"], dict)
             ],
-            alphabet=[str(b) for b in data.get("alphabet", ())],
+            alphabet=array("alphabet", data.get("alphabet", [])),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed automaton JSON: {exc}") from exc
@@ -705,7 +713,7 @@ def to_dot(a: BlockAutomaton) -> str:
         start = quote(fresh_name(a.states, f"__start{n}"))
         lines.append(f"  {start} [shape=point, style=invis];")
         lines.append(f"  {start} -> {quote(q)};")
-    for t in a.sorted_transitions():
+    for t in sorted(a.transitions):
         lines.append(f'  {quote(t.source)} -> {quote(t.target)} [label="{t.label.letters}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -9,6 +9,7 @@ from typing import Iterable
 from .automaton import (
     BlockAutomaton,
     Transition,
+    _edge_table,
     _quotient,
     _trusted,
     determinize,
@@ -29,7 +30,7 @@ from .syntax import RegexAst
 # `BlockAutomaton.out_edges` holds it) yields every orbit with its out-gates
 # and triviality.  The public functions read the automaton's own index and
 # leave it unchanged; the BKW test builds one table per analysis from its
-# memo key and cuts it in place.
+# memo key, with the index's builder `_edge_table`, and cuts it in place.
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,10 @@ def _orbit_property(orbits: list, edges: dict, finals: frozenset) -> OrbitProper
                     return OrbitPropertyResult(
                         False, members, (p, q), f"{p} is final but {q} is not"
                     )
-                for b, r in sorted(leaving[p]):
-                    if (b, r) not in leaving[q]:
+                for t in edges[p]:
+                    if t.target not in members and (t.label, t.target) not in leaving[q]:
                         return OrbitPropertyResult(
-                            False,
-                            members,
-                            (p, q),
-                            f"{p} leaves via {p} -{b.letters}-> {r} but {q} does not",
+                            False, members, (p, q), f"{p} leaves via {t} but {q} does not"
                         )
     return OrbitPropertyResult(True)
 
@@ -267,9 +265,7 @@ def _bkw_step(key: tuple) -> tuple[dict, list]:
     states = initials.union([t.target for t in transitions])  # all are reached
     fingerprint = f"{len(states)} states, {len(transitions)} transitions"
     fields = dict(fingerprint=fingerprint, consistent=(), orbit_property_holds=True, failure=None)
-    edges: dict = {q: [] for q in states}
-    for t in transitions:
-        edges[t.source].append(t)
+    edges = _edge_table(states, transitions, 0)
     symbols = _consistent([edges[f] for f in finals])
     _cut(edges, finals, symbols)
     # A shortest path to a final state leaves no final state, so the cut

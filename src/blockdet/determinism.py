@@ -16,8 +16,8 @@ from .syntax import RegexAst, language, mark, width
 class CheckResult:
     """Verdict of a k-indexed determinism check with its witness pairs.
 
-    Violations are ordered pairs of transitions sharing a source state,
-    lexicographically sorted so the first one is the least witness.
+    Violations are ordered pairs of transitions sharing a source state, in
+    the sorted order the scan yields them, so the first is the least witness.
     """
 
     k: int
@@ -36,7 +36,7 @@ def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     non-prefix outgoing labels (equal labels to distinct targets count)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    violations = tuple(sorted(_clashing_pairs(a.out_edges)))
+    violations = tuple(_clashing_pairs(a.out_edges))
     verdict = a.width <= k and len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)
 
@@ -53,7 +53,7 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     # Walk the pairs again only to name the violations the table shows.
     if min(depths, default=0) < 0 or max(depths, default=-1) >= k - 1:
         pairs = zip(_clashing_pairs(a.out_edges), depths)
-        violations = tuple(sorted(pair for pair, depth in pairs if depth < 0 or depth >= k - 1))
+        violations = tuple(pair for pair, depth in pairs if depth < 0 or depth >= k - 1)
     verdict = len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)
 

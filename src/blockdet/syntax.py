@@ -10,6 +10,7 @@ base letters are restricted to alphanumerics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
@@ -175,43 +176,32 @@ def _postfix(ast: RegexAst) -> list:
 # --- parsing ---------------------------------------------------------------
 
 _ATOM_STARTS = {"letter", "block", "(", "eps", "empty"}
+# Whitespace, then a keyword or operator, a block literal and its closing
+# bracket if any, a letter (`[^\W_]` is `str.isalnum`), or another character.
+_TOKEN = re.compile(r"\s*((" + "|".join(KEYWORDS) + r"|[+.*()])|\[([^\]]*)(\]?)|([^\W_])|\S)")
 
 
 def _lex(text: str) -> list[tuple[str, str | None, int]]:
     out: list[tuple[str, str | None, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        keyword = next((kw for kw in KEYWORDS if text.startswith(kw, i)), None)
-        if keyword is not None:
-            out.append((keyword, None, i))
-            i += len(keyword)
-            continue
-        if ch == "[":
-            end = text.find("]", i + 1)
-            if end < 0:
-                raise ExprSyntaxError("unterminated block literal", i)
-            inner = text[i + 1 : end]
-            if not inner:
-                raise ExprSyntaxError("empty block []", i)
-            if not inner.isalnum():
-                raise ExprSyntaxError("block letters must be alphanumeric", i + 1)
-            out.append(("block", inner, i))
-            i = end + 1
-            continue
-        if ch in "+.*()":
-            out.append((ch, None, i))
-            i += 1
-            continue
-        if ch.isalnum():
-            out.append(("letter", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    out.append(("end", None, n))
+    end = 0
+    while match := _TOKEN.match(text, end):  # none once only whitespace is left
+        token, word, inner, close, letter = match.groups()
+        pos, end = match.start(1), match.end()
+        if word:
+            out.append((word, None, pos))
+        elif letter:
+            out.append(("letter", letter, pos))
+        elif inner is None:
+            raise ExprSyntaxError(f"unexpected character {token!r}", pos)
+        elif not close:
+            raise ExprSyntaxError("unterminated block literal", pos)
+        elif not inner:
+            raise ExprSyntaxError("empty block []", pos)
+        elif not inner.isalnum():
+            raise ExprSyntaxError("block letters must be alphanumeric", pos + 1)
+        else:
+            out.append(("block", inner, pos))
+    out.append(("end", None, len(text)))
     return out
 
 

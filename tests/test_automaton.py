@@ -146,7 +146,7 @@ class TestExpandBlocks:
         assert out.width == 1
         assert len(out.states) == 2
         (fresh,) = out.states - {"1"}
-        assert [(t.source, t.label.letters, t.target) for t in out.sorted_transitions()] == [
+        assert [(t.source, t.label.letters, t.target) for t in sorted(out.transitions)] == [
             ("1", "b", fresh),
             (fresh, "a", "1"),
         ]
@@ -172,7 +172,7 @@ class TestExpandBlocks:
             states={"@0", "@1"}, initials={"@0"}, finals={"@1"}, transitions=[("@0", "abc", "@1")]
         )
         out = expand_blocks(a)
-        assert [(t.source, t.label.letters, t.target) for t in out.sorted_transitions()] == [
+        assert [(t.source, t.label.letters, t.target) for t in sorted(out.transitions)] == [
             ("@0", "a", "@0'"),
             ("@0'", "b", "@1'"),
             ("@1'", "c", "@1"),
@@ -801,6 +801,26 @@ class TestSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
             from_json({"states": []})
+        good = {"states": ["p", "q"], "initials": ["p"], "finals": ["q"],
+                "transitions": [{"from": "p", "label": "a", "to": "q"}]}
+        from_json(good)
+        # Each is malformed; most were once read as an answer: a string split
+        # into letters, an object's keys, null or a number named by its text.
+        for field, value in [
+            ("states", "pq"),
+            ("states", {"p": 1, "q": 2}),
+            ("states", ["p", "q", None]),
+            ("initials", "p"),
+            ("finals", ["q", 1]),
+            ("transitions", {}),
+            ("transitions", [{"from": "p", "label": 7, "to": "q"}]),
+            ("transitions", [{"from": "p", "label": "a", "to": None}]),
+            ("transitions", [["p", "a", "q"]]),
+            ("alphabet", "ab"),
+            ("alphabet", ["a", 7]),
+        ]:
+            with pytest.raises(ValueError, match="^malformed automaton JSON: "):
+                from_json({**good, field: value})
 
     def test_dot_output(self):
         dot = to_dot(min_dfa_two_block())
@@ -912,7 +932,7 @@ def _same_language_copy(rng, a):
         return twin if q == split and rng.random() < 0.5 else q
 
     transitions = []
-    for t in a.sorted_transitions():
+    for t in sorted(a.transitions):
         source, target = name[t.source], retarget(name[t.target])
         transitions.append((source, t.label, target))
         if source == split:
@@ -929,7 +949,7 @@ def _same_language_copy(rng, a):
 def _mutated(rng, a):
     """Toggle one final state, or drop or add one transition."""
     states = sorted(a.states)
-    transitions = a.sorted_transitions()
+    transitions = sorted(a.transitions)
     finals = set(a.finals)
     change = rng.randrange(3)
     if change == 0 or not states:

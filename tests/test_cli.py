@@ -873,6 +873,22 @@ def _limited():
     resource.setrlimit(resource.RLIMIT_AS, (_CONTRACT_MEMORY, _CONTRACT_MEMORY))
 
 
+_GOOD_FILE = {
+    "states": ["i", "p"], "initials": ["i"], "finals": ["p"],
+    "transitions": [{"from": "i", "label": "a", "to": "p"}],
+}
+# Fields that are not arrays of strings (of objects, for transitions); each
+# was read as an answer once.
+_MALFORMED_FIELDS = [
+    ("states", "ip"),
+    ("states", {"i": 1, "p": 2}),
+    ("states", ["i", "p", None]),
+    ("transitions", [{"from": "i", "label": 7, "to": "p"}]),
+    ("transitions", {}),
+    ("alphabet", "ab"),
+]
+
+
 def _contract_corpus(tmp_path: Path) -> list:
     """The adversarial commands, fixed ones first, then seeded random ones
     drawn from per-verb pools of hostile arguments.  Left out: `enumerate
@@ -891,6 +907,10 @@ def _contract_corpus(tmp_path: Path) -> list:
         },
         "list_transitions": {
             "states": ["i", "p"], "initials": ["i"], "finals": ["p"], "transitions": [["i", "a", "p"]],
+        },
+        **{
+            f"malformed_{field}_{n}": {**_GOOD_FILE, field: value}
+            for n, (field, value) in enumerate(_MALFORMED_FIELDS)
         },
         "nfa": to_json(glushkov_two_lookahead()),
         "block_nfa": to_json(glushkov_two_block()),
@@ -989,6 +1009,8 @@ def test_exit_code_contract(tmp_path):
         assert "Traceback" not in err, (shown, err)
         # An error says why on stderr; an answer is printed on stdout alone.
         assert bool(err) == (code == 2) and bool(out) == (code != 2), (shown, code, out, err)
+        if argv[0] in ("min", "bkw", "det") and Path(argv[-1]).stem.startswith("malformed_"):
+            assert code == 2 and err.startswith("blockdet: malformed automaton JSON: "), (argv, err)
     codes = [code for code, _, _ in results]
     assert min(codes.count(code) for code in (0, 1, 2)) >= 10  # the corpus reaches all three
     # The same contract through `python -m blockdet`.

@@ -1,12 +1,17 @@
 """The per-state edge index and the lookahead table that `BlockAutomaton`
-builds once and keeps: no public function may change them, and no cache may
-keep them alive."""
+builds once and keeps: no public function may change them, no cache may
+keep them alive, and their order does not follow the hash seed."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from contextlib import suppress
+from pathlib import Path
 
+import blockdet
 from blockdet import (
     BlockAutomaton,
     accepts,
@@ -46,17 +51,13 @@ STATE_NAMES = ["q0", "q1", "q2", "{q0,q1}", "{q1,q2}", "@0", "@1", "i'"]
 
 
 def _fresh_out(a):
-    out = {q: [] for q in a.states}
-    for t in a.transitions:
-        out[t.source].append(t)
-    return out
+    """The out_edges index as it must read: states and rows sorted."""
+    return [(q, sorted(t for t in a.transitions if t.source == q)) for q in sorted(a.states)]
 
 
 def _fresh_in(a):
-    into = {q: [] for q in a.states}
-    for t in a.transitions:
-        into[t.target].append(t)
-    return into
+    """The in_edges index as it must read: states and rows sorted."""
+    return [(q, sorted(t for t in a.transitions if t.target == q)) for q in sorted(a.states)]
 
 
 def _depth_map(a):
@@ -140,10 +141,11 @@ class TestSharedEdgeIndex:
         checked = tables = 0
         for a in _corpus():
             # Built before the calls, so that they all read this one.
-            assert a.out_edges == _fresh_out(a) and a.in_edges == _fresh_in(a)
+            assert list(a.out_edges.items()) == _fresh_out(a)
+            assert list(a.in_edges.items()) == _fresh_in(a)
             for b in [a, *_exercise(a, cuts)]:
-                assert b.out_edges == _fresh_out(b)
-                assert b.in_edges == _fresh_in(b)
+                assert list(b.out_edges.items()) == _fresh_out(b)
+                assert list(b.in_edges.items()) == _fresh_in(b)
                 checked += 1
             # The lookahead functions refuse wider automata before reading
             # the table.
@@ -178,3 +180,44 @@ class TestSharedEdgeIndex:
         del a, derived
         gc.collect()
         assert [r() for r in refs] == [None, None, None]
+
+
+# Prints the index, the lookahead table and the lookahead violations of a
+# seeded corpus: Glushkov automata of width-1 expressions and their minimal
+# DFAs.  The first expression clashes at two states with different depths.
+_ORDER_SCRIPT = """
+import random
+from blockdet import glushkov, is_k_lookahead_deterministic, minimal_dfa, parse
+from conftest import random_expression
+
+rng = random.Random(2020)
+exprs = [parse("x(yz+yw)*(y+x)+x(y+z)")] + [random_expression(rng, 8, 1) for _ in range(60)]
+for expr in exprs:
+    for a in (glushkov(expr).automaton, minimal_dfa(expr)):
+        print(list(a.out_edges.items()), list(a.in_edges.items()))
+        print(list(a.common_depths), is_k_lookahead_deterministic(a, 1).violations)
+"""
+
+
+class TestHashSeedIndependence:
+    def test_index_order_does_not_follow_the_hash_seed(self):
+        # Transitions are a frozenset, whose order follows the hash seed.
+        paths = [Path(blockdet.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+        runs = []
+        for hash_seed in (0, 1, 2):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [*map(str, paths), env.get("PYTHONPATH")]))
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", _ORDER_SCRIPT],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            ))
+        outputs = []
+        for done in runs:
+            out, err = done.communicate(timeout=120)
+            assert done.returncode == 0, err
+            outputs.append(out)
+        assert "[1, 0" in outputs[0] and "Transition(" in outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -2,8 +2,7 @@
 
 Transition labels are blocks (non-empty words over the base alphabet); plain
 automata are the width-1 case.  Automata are kept partial and trimmed: there
-is no sink completion, and derived operations normalise the alphabet to the
-labels actually used.
+is no sink completion, and the alphabet is the labels the transitions use.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class Transition(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockAutomaton:
-    alphabet: frozenset
     states: frozenset
     initials: frozenset
     finals: frozenset
@@ -42,11 +40,11 @@ class BlockAutomaton:
             raise ValueError("initial states must be states")
         if not self.finals <= self.states:
             raise ValueError("final states must be states")
+        if not all(isinstance(q, str) for q in self.states):
+            raise ValueError("state names must be strings")
         for t in self.transitions:
             if t.source not in self.states or t.target not in self.states:
                 raise ValueError(f"transition endpoints must be states: {t}")
-            if t.label not in self.alphabet:
-                raise ValueError(f"transition label not in the alphabet: {t}")
 
     @classmethod
     def make(
@@ -55,26 +53,26 @@ class BlockAutomaton:
         initials: Iterable[str] = (),
         finals: Iterable[str] = (),
         transitions: Iterable = (),
-        alphabet: Iterable | None = None,
     ) -> "BlockAutomaton":
         """Build an automaton, coercing (source, label, target) triples."""
+        if any(isinstance(x, str) for x in (states, initials, finals, transitions)):
+            raise ValueError("states, initials, finals and transitions must not be strings")
         coerced = frozenset(map(_coerce_transition, transitions))
-        used = frozenset(t.label for t in coerced)
-        if alphabet is None:
-            full = used
-        else:
-            full = frozenset(
-                b if isinstance(b, BlockSymbol) else BlockSymbol(b) for b in alphabet
-            ) | used
-        return cls(full, frozenset(states), frozenset(initials), frozenset(finals), coerced)
+        return cls(frozenset(states), frozenset(initials), frozenset(finals), coerced)
 
     @property
     def width(self) -> int:
         return max((b.width for b in self.alphabet), default=0)
 
-    # The per-state edge index and the lookahead table: built on first use
-    # and kept with the automaton, so every walk over one automaton shares
-    # them.  Read-only.  States and each state's row are in sorted order.
+    # The alphabet, the per-state edge index and the lookahead table: built
+    # on first use and kept with the automaton, so every walk over one
+    # automaton shares them.  Read-only.  States and each state's row are in
+    # sorted order.
+
+    @cached_property
+    def alphabet(self) -> frozenset:
+        """The labels the transitions use."""
+        return frozenset([t.label for t in self.transitions])
 
     @cached_property
     def out_edges(self) -> dict[str, list[Transition]]:
@@ -110,16 +108,14 @@ def _edge_table(states, transitions, end: int) -> dict:
 def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
     """Build an automaton from parts its caller made valid: `Transition`s
     with `BlockSymbol` labels between its states.  Skips the coercion of
-    `make` and the checks of `__post_init__`; the alphabet is the labels
-    used.  The package's own producers build through here; input from
-    outside goes through `make`."""
+    `make` and the checks of `__post_init__`.  The package's own producers
+    build through here; input from outside goes through `make`."""
     # Filled one by one, as `make` fills it: a copy of a set is sized from
     # the set's count, which for some counts doubles the table (4,800
     # transitions: 256 kB instead of 128 kB).
     transitions = frozenset(iter(transitions))
     a = object.__new__(BlockAutomaton)
     a.__dict__.update(
-        alphabet=frozenset([t.label for t in transitions]),
         states=frozenset(states),
         initials=frozenset(initials),
         finals=frozenset(finals),
@@ -197,7 +193,7 @@ def trim(a: BlockAutomaton) -> BlockAutomaton:
     forward = _reachable(a.out_edges, a.initials)
     backward = _reachable(a.in_edges, a.finals, reverse=True)
     keep = forward & backward
-    if len(keep) == len(a.states) and len({t.label for t in a.transitions}) == len(a.alphabet):
+    if len(keep) == len(a.states):
         return a
     return _trusted(
         keep,
@@ -687,7 +683,7 @@ def from_json(data: Mapping) -> BlockAutomaton:
         raise TypeError(f"{name} must be {'objects' if kind is dict else 'strings'}{where}")
 
     try:
-        return BlockAutomaton.make(
+        a = BlockAutomaton.make(
             states=array("states", data["states"]),
             initials=array("initials", data["initials"]),
             finals=array("finals", data["finals"]),
@@ -695,10 +691,12 @@ def from_json(data: Mapping) -> BlockAutomaton:
                 array("transition from, label and to", [t["from"], t["label"], t["to"]])
                 for t in array("transitions", data["transitions"], dict)
             ],
-            alphabet=array("alphabet", data.get("alphabet", [])),
         )
+        for b in array("alphabet", data.get("alphabet", [])):
+            BlockSymbol(b)  # checked, then ignored: the alphabet is the labels used
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed automaton JSON: {exc}") from exc
+    return a
 
 
 def to_dot(a: BlockAutomaton) -> str:

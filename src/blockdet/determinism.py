@@ -32,8 +32,8 @@ class CheckResult:
 
 
 def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
-    """Width at most k, a single initial state, and per state pairwise
-    non-prefix outgoing labels (equal labels to distinct targets count)."""
+    """Every label at most k letters long, one initial state, and per state
+    pairwise non-prefix outgoing labels (equal labels to distinct targets count)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     violations = tuple(_clashing_pairs(a.out_edges))

@@ -36,8 +36,6 @@ def glushkov(expr: RegexAst | MarkedExpression) -> GlushkovAutomaton:
     finals = {name[p] for p in table.last}
     if table.nullable:
         finals.add(INITIAL_STATE)
-    # Every position of a trimmed expression is entered, so the labels
-    # used are the blocks of all positions.
     automaton = _trusted(states, {INITIAL_STATE}, finals, transitions)
     return GlushkovAutomaton(automaton, {name[p]: p for p in marked.positions})
 
@@ -60,11 +58,10 @@ def check_glushkov_shape(a: BlockAutomaton) -> bool:
 
 def alphabetic_image(a: BlockAutomaton, mapping: Mapping) -> BlockAutomaton:
     """Relabel transitions through an injection of the used alphabet."""
-    used = {t.label for t in a.transitions}
-    missing = [b for b in used if b not in mapping]
+    missing = [b for b in a.alphabet if b not in mapping]
     if missing:
         raise ValueError(f"mapping is not defined on {sorted(missing)}")
-    images = [mapping[b] for b in used]
+    images = [mapping[b] for b in a.alphabet]
     if len(set(images)) != len(images):
         raise ValueError("mapping is not injective on the used alphabet")
     return BlockAutomaton.make(

@@ -36,6 +36,8 @@ class BlockSymbol(str):
     __slots__ = ()
 
     def __new__(cls, letters: str) -> "BlockSymbol":
+        if not isinstance(letters, str):
+            raise ValueError(f"a block is a string of letters: {letters!r}")
         if not letters:
             raise ValueError("a block needs at least one letter")
         if not letters.isalnum():

@@ -5,7 +5,7 @@ import itertools
 import random
 import signal
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -89,16 +89,13 @@ class TestTrim:
             assert trim(once) is once
 
     def test_unused_letters_dropped(self):
-        a = BlockAutomaton.make(
-            states={"i"},
-            initials={"i"},
-            finals={"i"},
-            transitions=[("i", "a", "i")],
-            alphabet="ab",
-        )
-        once = trim(a)
-        assert once.alphabet == frozenset({"a"})
-        assert trim(once) is once
+        # A declared label no transition uses is read and dropped.
+        a = from_json({
+            "states": ["i"], "initials": ["i"], "finals": ["i"], "alphabet": ["a", "b"],
+            "transitions": [{"from": "i", "label": "a", "to": "i"}],
+        })
+        assert a.alphabet == frozenset({"a"})
+        assert trim(a) is a
 
 
 class TestStandardize:
@@ -276,8 +273,8 @@ class TestDeterminize:
             determinize(glushkov_two_block())
 
     def test_matches_per_letter_subset_construction(self):
-        # Seeded random NFAs with up to 8 letters, some of them unused, and
-        # up to three initial states, against the textbook construction.
+        # Seeded random NFAs with up to 8 letters and up to three initial
+        # states, against the textbook construction.
         rng = random.Random(1805)
         for _ in range(400):
             n = rng.randint(1, 7)
@@ -294,7 +291,6 @@ class TestDeterminize:
                     (rng.choice(states), rng.choice(used), rng.choice(states))
                     for _ in range(rng.randint(0, 3 * len(states)))
                 ],
-                alphabet=alphabet,
             )
             dfa = determinize(nfa)
             got = (dfa.states, dfa.transitions, dfa.initials, dfa.finals)
@@ -315,7 +311,6 @@ class TestDeterminize:
                 initials=[rng.choice(states)],
                 finals=[q for q in states if rng.random() < 0.3],
                 transitions=[(q, c, r) for (q, c), r in moves.items()],
-                alphabet=alphabet,
             )
             assert is_deterministic(a)
             dfa = determinize(a)
@@ -689,27 +684,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="^final states must be states$"):
             BlockAutomaton.make(states={"p"}, finals={"q"})
 
-    def test_labels_must_be_in_alphabet(self):
-        from blockdet import BlockSymbol, Transition
-
-        with pytest.raises(ValueError):
-            BlockAutomaton(
-                alphabet=frozenset(),
-                states=frozenset({"p"}),
-                initials=frozenset(),
-                finals=frozenset(),
-                transitions=frozenset({Transition("p", BlockSymbol("a"), "p")}),
-            )
+    def test_non_strings_rejected(self):
+        # Each once failed late with another exception, or was read as an
+        # answer: a string taken for its letters, a number for a name.
+        with pytest.raises(ValueError, match="^a block is a string of letters: 7$"):
+            BlockAutomaton.make(states={"p", "q"}, transitions=[("p", 7, "q")])
+        for field in ("states", "initials", "finals", "transitions"):
+            with pytest.raises(ValueError, match="must not be strings$"):
+                BlockAutomaton.make(**{field: "pq"})
+        with pytest.raises(ValueError, match="^state names must be strings$"):
+            BlockAutomaton.make(states=[1, 2], initials=[1], transitions=[(1, "a", 2)])
 
     def test_alphabet_defaults_to_used_labels(self):
         a = BlockAutomaton.make(states={"p"}, transitions=[("p", "ab", "p")])
         assert {b.letters for b in a.alphabet} == {"ab"}
 
+    def test_alphabet_is_derived(self):
+        # Not a field: built on first read and kept, like the edge index.
+        a = BlockAutomaton.make(states={"p"}, transitions=[("p", "ab", "p")])
+        assert [f.name for f in fields(BlockAutomaton)] == ["states", "initials", "finals", "transitions"]
+        assert "alphabet" not in a.__dict__
+        assert a.alphabet is a.alphabet and "alphabet" in a.__dict__
+        with pytest.raises(TypeError):
+            BlockAutomaton.make(states={"p"}, alphabet=["a"])
+        with pytest.raises(TypeError):
+            BlockAutomaton(frozenset(), frozenset(), frozenset(), frozenset(), frozenset())
+
 
 class TestTrustedConstructor:
     """Internal producers skip `make`'s coercion and checks: each output
-    must equal its rebuild through `make`, alphabet included, with the
-    value types `make` gives."""
+    must equal its rebuild through `make`, with the value types `make`
+    gives."""
 
     def test_outputs_equal_their_validated_rebuild(self):
         rng = random.Random(1107)
@@ -821,6 +826,15 @@ class TestSerialization:
         ]:
             with pytest.raises(ValueError, match="^malformed automaton JSON: "):
                 from_json({**good, field: value})
+        # A declared alphabet is read after the required fields, so that a
+        # document that is no object fails as malformed.
+        for data in ([], ["states"], "states", 7, None):
+            with pytest.raises(ValueError, match="^malformed automaton JSON: "):
+                from_json(data)
+        # Declared labels must be blocks, used or not.
+        for value, message in (([""], "a block needs"), (["a-b"], "block letters must")):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                from_json({**good, "alphabet": value})
 
     def test_dot_output(self):
         dot = to_dot(min_dfa_two_block())
@@ -899,7 +913,8 @@ def _right_language(a, state, maxlen):
 
 def _random_block_automaton(rng):
     """Up to 5 states over up to 3 letters, labels of width 1-2, 0-3
-    initials, and sometimes an alphabet letter no transition uses."""
+    initials, and sometimes a declared letter no transition uses, which
+    only JSON input can carry."""
     states = [f"q{i}" for i in range(rng.randint(1, 5))]
     letters = "abc"[: rng.randint(1, 3)]
     labels = list(letters)
@@ -909,13 +924,15 @@ def _random_block_automaton(rng):
         (rng.choice(states), rng.choice(labels), rng.choice(states))
         for _ in range(rng.randint(0, 2 * len(states) + 1))
     ]
-    return BlockAutomaton.make(
+    data = to_json(BlockAutomaton.make(
         states=states,
         initials=rng.sample(states, rng.randint(0, min(3, len(states)))),
         finals=rng.sample(states, rng.randint(0, len(states))),
         transitions=transitions,
-        alphabet=letters + "d" if rng.random() < 0.3 else None,
-    )
+    ))
+    if rng.random() < 0.3:
+        data["alphabet"] = list(letters + "d")
+    return from_json(data)
 
 
 def _same_language_copy(rng, a):

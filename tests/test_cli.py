@@ -30,6 +30,7 @@ from blockdet import (
     parse,
     to_json,
     to_text,
+    trim,
 )
 from blockdet.cli import _json_text, main
 from blockdet.witnesses import FAMILIES, block_bk, hanwood_mk
@@ -377,6 +378,59 @@ class TestEquivVerb:
             "",
         )
         assert run(capsys, "--text", "equiv", "[aa]*", "(aa)*") == (0, "equivalent: True\n", "")
+
+
+class TestDeclaredAlphabet:
+    """A JSON file may declare labels that no transition uses.  The alphabet
+    is the labels used, so such a declaration changes no answer: not even a
+    label wider than every used one, which once made `check block` and
+    `certify` fail and `det` and the lookahead checks refuse the file."""
+
+    VERBS = [
+        *(["check", prop, "-k", k] for prop in ("one-unambiguous", "block", "lookahead", "min-lookahead")
+          for k in ("1", "2")),
+        ["bkw"], ["certify", "-k", "1"], ["certify", "-k", "2"],
+        ["det"], ["min"], ["trim"], ["expand"], ["std"], ["enumerate", "-n", "3"],
+    ]
+
+    def test_declared_alphabet_changes_no_answer(self, capsys, tmp_path):
+        rng = random.Random(2121)
+        automata = [glushkov(random_expression(rng, 5, 1 + i % 3)).automaton for i in range(9)]
+        for _ in range(4):  # with several initials and useless states
+            states = [f"q{i}" for i in range(4)]
+            automata.append(BlockAutomaton.make(
+                states=states,
+                initials=rng.sample(states, 2),
+                finals=rng.sample(states, 2),
+                transitions=[(rng.choice(states), rng.choice(["a", "b", "ab"][: rng.randint(1, 3)]),
+                              rng.choice(states)) for _ in range(6)],
+            ))
+        trimmed = 0
+        for n, a in enumerate(automata):
+            data = to_json(a)
+            del data["alphabet"]
+            used = sorted(a.alphabet)
+            variants = [data] + [
+                {**data, "alphabet": declared}
+                for declared in (used, used + ["z"], used + ["z" * (a.width + 1)])
+            ]
+            paths = []
+            for m, variant in enumerate(variants):
+                path = tmp_path / f"a{n}_{m}.json"
+                path.write_text(json.dumps(variant))
+                paths.append(str(path))
+                read = from_json(variant)
+                assert read == a and read.alphabet == a.alphabet
+                if trim(a) is a:
+                    assert trim(read) is read
+                    trimmed += 1
+            for fmt in ("--json", "--text"):
+                for verb in self.VERBS:
+                    # The input follows the verb's positional arguments.
+                    at = 2 if verb[0] == "check" else 1
+                    answers = {run(capsys, fmt, *verb[:at], path, *verb[at:]) for path in paths}
+                    assert len(answers) == 1, (n, fmt, verb, answers)
+        assert trimmed >= 36
 
 
 def _declared_verbs(capsys) -> list:
@@ -743,7 +797,6 @@ class TestHashSeedIndependence:
             transitions=[
                 (rng.choice(states), rng.choice("abcdefg"), rng.choice(states)) for _ in range(30)
             ],
-            alphabet="abcdefgh",
         )
         # Three letters, several initials, one final state moved: several
         # words of the least differing length tell the two apart.
@@ -770,7 +823,10 @@ class TestHashSeedIndependence:
             "wide": wide,
         }
         for name, a in files.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(to_json(a)))
+            data = to_json(a)
+            if name == "wide":  # a declared letter that no transition uses
+                data["alphabet"] = list("abcdefgh")
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
         left, right, nfa, dfa, blocks, tag_file, wide_file = (
             str(tmp_path / f"{name}.json") for name in files
         )
@@ -912,6 +968,12 @@ def _contract_corpus(tmp_path: Path) -> list:
             f"malformed_{field}_{n}": {**_GOOD_FILE, field: value}
             for n, (field, value) in enumerate(_MALFORMED_FIELDS)
         },
+        # No object: refused before the optional alphabet is looked up.
+        "malformed_top_array": ["states"],
+        "malformed_top_string": "states",
+        # Declared labels that are no blocks, though no transition uses them.
+        "bad_block_empty": {**_GOOD_FILE, "alphabet": [""]},
+        "bad_block_letters": {**_GOOD_FILE, "alphabet": ["a-b"]},
         "nfa": to_json(glushkov_two_lookahead()),
         "block_nfa": to_json(glushkov_two_block()),
         "dfa": to_json(min_dfa_two_block()),
@@ -1009,8 +1071,13 @@ def test_exit_code_contract(tmp_path):
         assert "Traceback" not in err, (shown, err)
         # An error says why on stderr; an answer is printed on stdout alone.
         assert bool(err) == (code == 2) and bool(out) == (code != 2), (shown, code, out, err)
-        if argv[0] in ("min", "bkw", "det") and Path(argv[-1]).stem.startswith("malformed_"):
+        # `min`, `bkw` and `det` given a bad file alone refuse it for its
+        # content; with a random extra argument they make a usage error.
+        reads_file = argv[:-1] in (["min"], ["bkw"], ["det"])
+        if reads_file and Path(argv[-1]).stem.startswith("malformed_"):
             assert code == 2 and err.startswith("blockdet: malformed automaton JSON: "), (argv, err)
+        if reads_file and Path(argv[-1]).stem.startswith("bad_block_"):
+            assert code == 2 and re.match("blockdet: (a block needs|block letters must)", err), (argv, err)
     codes = [code for code, _, _ in results]
     assert min(codes.count(code) for code in (0, 1, 2)) >= 10  # the corpus reaches all three
     # The same contract through `python -m blockdet`.

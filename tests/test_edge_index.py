@@ -153,7 +153,7 @@ class TestSharedEdgeIndex:
             if a.width <= 1:
                 table = a.common_depths
                 assert a.common_depths is table
-                copy = BlockAutomaton.make(a.states, a.initials, a.finals, a.transitions, a.alphabet)
+                copy = BlockAutomaton.make(a.states, a.initials, a.finals, a.transitions)
                 assert _depth_map(a) == _depth_map(copy)
                 tables += bool(table)
         # Each S-cut drops edges from the final states' rows, so enough of

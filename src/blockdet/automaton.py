@@ -64,7 +64,7 @@ class BlockAutomaton:
     def width(self) -> int:
         return max((b.width for b in self.alphabet), default=0)
 
-    # The alphabet, the per-state edge index and the lookahead table: built
+    # The alphabet, the per-state edge index and the lookahead depths: built
     # on first use and kept with the automaton, so every walk over one
     # automaton shares them.  Read-only.  States and each state's row are in
     # sorted order.
@@ -85,12 +85,25 @@ class BlockAutomaton:
         return _edge_table(self.states, self.transitions, 2)
 
     @cached_property
+    def group_depths(self) -> array:
+        """One depth per clash group (two or more same-label transitions
+        leaving one state), in sorted order: the length of the longest label
+        word that the targets of two of its transitions both read, or -1
+        when two read common words of every length.  Defined on width-1
+        automata.  Read by tagged-subset walks (`_TaggedWalk`) under a work
+        budget; `common_depths` answers when the budget runs out."""
+        from .lookahead import _group_depths  # here: lookahead imports this module
+
+        return _group_depths(self)
+
+    @cached_property
     def common_depths(self) -> array:
         """One depth per clashing pair, in sorted pair order: the length of
         the longest label word that both targets read, or -1 when they read
         common words of every length.  Defined on width-1 automata, where
         the clashing pairs are the pairs of same-label transitions leaving
-        one state."""
+        one state.  Θ(pairs): built only when a tagged walk runs over its
+        budget, and the referee of those walks."""
         return _common_depths(self)
 
 
@@ -127,6 +140,8 @@ def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
 def _coerce_transition(t) -> Transition:
     if isinstance(t, Transition):
         return t
+    if isinstance(t, str):
+        raise ValueError(f"a transition is a (source, label, target) triple, not a string: {t!r}")
     source, label, target = t
     if not isinstance(label, BlockSymbol):
         label = BlockSymbol(label)

@@ -9,6 +9,7 @@ from typing import Iterable
 
 from .automaton import BlockAutomaton, _clashing_pairs
 from .glushkov import glushkov
+from .lookahead import _lookahead_violations
 from .syntax import RegexAst, language, mark, width
 
 
@@ -43,17 +44,19 @@ def is_k_block_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
 
 def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     """No two same-labelled branches from a state may read a common word of
-    length k-1; read from the automaton's `common_depths`."""
+    length k-1.  The verdict reads the automaton's `group_depths`, one
+    greatest common depth per group of same-label transitions leaving a
+    state.  Only when some group reaches k-1 are the violating pairs named,
+    by a level walk k-1 deep in those groups (the pair table,
+    `common_depths`, when the walk runs over its budget)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    depths = a.common_depths
+    depths = a.group_depths
     violations = ()
-    # Walk the pairs again only to name the violations the table shows.
     if min(depths, default=0) < 0 or max(depths, default=-1) >= k - 1:
-        pairs = zip(_clashing_pairs(a.out_edges), depths)
-        violations = tuple(pair for pair, depth in pairs if depth < 0 or depth >= k - 1)
+        violations = _lookahead_violations(a, k)
     verdict = len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)
 
@@ -65,7 +68,7 @@ def min_lookahead(a: BlockAutomaton) -> int | None:
         raise ValueError("lookahead determinism is defined on width-1 automata")
     if len(a.initials) != 1:
         return None
-    depths = a.common_depths
+    depths = a.group_depths
     if -1 in depths:
         return None
     return max(depths, default=-1) + 2

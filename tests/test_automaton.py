@@ -692,6 +692,9 @@ class TestValidation:
         for field in ("states", "initials", "finals", "transitions"):
             with pytest.raises(ValueError, match="must not be strings$"):
                 BlockAutomaton.make(**{field: "pq"})
+        # A three-letter string unpacks as (source, label, target).
+        with pytest.raises(ValueError, match="^a transition is a \\(source, label, target\\) triple, not a string: 'paq'$"):
+            BlockAutomaton.make(states=["p", "q"], transitions=["paq"])
         with pytest.raises(ValueError, match="^state names must be strings$"):
             BlockAutomaton.make(states=[1, 2], initials=[1], transitions=[(1, "a", 2)])
 

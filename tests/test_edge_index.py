@@ -1,4 +1,4 @@
-"""The per-state edge index and the lookahead table that `BlockAutomaton`
+"""The per-state edge index and the lookahead depths that `BlockAutomaton`
 builds once and keeps: no public function may change them, no cache may
 keep them alive, and their order does not follow the hash seed."""
 
@@ -148,14 +148,15 @@ class TestSharedEdgeIndex:
                 assert list(b.in_edges.items()) == _fresh_in(b)
                 checked += 1
             # The lookahead functions refuse wider automata before reading
-            # the table.
-            assert ("common_depths" in a.__dict__) == (a.width <= 1)
+            # the group depths, and build them once.
+            assert ("group_depths" in a.__dict__) == (a.width <= 1)
             if a.width <= 1:
-                table = a.common_depths
-                assert a.common_depths is table
+                depths = a.group_depths
+                assert a.group_depths is depths
                 copy = BlockAutomaton.make(a.states, a.initials, a.finals, a.transitions)
+                assert list(copy.group_depths) == list(depths)
                 assert _depth_map(a) == _depth_map(copy)
-                tables += bool(table)
+                tables += bool(depths)
         # Each S-cut drops edges from the final states' rows, so enough of
         # them catch a cut made in place.
         assert len(cuts) > 20 and checked > 1000 and tables > 20
@@ -176,13 +177,13 @@ class TestSharedEdgeIndex:
         derived = minimize(determinize(trim(a)))
         _exercise(a, [])
         _exercise(derived, [])
-        refs = [weakref.ref(a), weakref.ref(derived), weakref.ref(a.common_depths)]
+        refs = [weakref.ref(a), weakref.ref(derived), weakref.ref(a.group_depths), weakref.ref(a.common_depths)]
         del a, derived
         gc.collect()
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None, None, None, None]
 
 
-# Prints the index, the lookahead table and the lookahead violations of a
+# Prints the index, the lookahead depths and violations and the table of a
 # seeded corpus: Glushkov automata of width-1 expressions and their minimal
 # DFAs.  The first expression clashes at two states with different depths.
 _ORDER_SCRIPT = """
@@ -195,7 +196,8 @@ exprs = [parse("x(yz+yw)*(y+x)+x(y+z)")] + [random_expression(rng, 8, 1) for _ i
 for expr in exprs:
     for a in (glushkov(expr).automaton, minimal_dfa(expr)):
         print(list(a.out_edges.items()), list(a.in_edges.items()))
-        print(list(a.common_depths), is_k_lookahead_deterministic(a, 1).violations)
+        print(list(a.group_depths), is_k_lookahead_deterministic(a, 1).violations)
+        print(list(a.common_depths))
 """
 
 

@@ -7,8 +7,7 @@ is no sink completion, and the alphabet is the labels the transitions use.
 
 from __future__ import annotations
 
-from array import array
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple
@@ -85,25 +84,28 @@ class BlockAutomaton:
         return _edge_table(self.states, self.transitions, 2)
 
     @cached_property
-    def group_depths(self) -> array:
+    def group_depths(self) -> "array":
         """One depth per clash group (two or more same-label transitions
         leaving one state), in sorted order: the length of the longest label
         word that the targets of two of its transitions both read, or -1
         when two read common words of every length.  Defined on width-1
-        automata.  Read by tagged-subset walks (`_TaggedWalk`) under a work
-        budget; `common_depths` answers when the budget runs out."""
+        automata.  Built by `blockdet.lookahead`, one tagged-subset walk per
+        group under a work budget, folded from `common_depths` when the
+        budget runs out."""
         from .lookahead import _group_depths  # here: lookahead imports this module
 
         return _group_depths(self)
 
     @cached_property
-    def common_depths(self) -> array:
+    def common_depths(self) -> "array":
         """One depth per clashing pair, in sorted pair order: the length of
         the longest label word that both targets read, or -1 when they read
         common words of every length.  Defined on width-1 automata, where
-        the clashing pairs are the pairs of same-label transitions leaving
-        one state.  Θ(pairs): built only when a tagged walk runs over its
-        budget, and the referee of those walks."""
+        the clashing pairs are the pairs inside each clash group.
+        Θ(pairs): built by `blockdet.lookahead` only when a tagged walk runs
+        over its budget, and the referee of those walks."""
+        from .lookahead import _common_depths  # here: lookahead imports this module
+
         return _common_depths(self)
 
 
@@ -176,27 +178,36 @@ def accepts(a: BlockAutomaton, word: str) -> bool:
     return any((q, len(word)) in seen for q in a.finals)
 
 
+_WORD_LETTERS = 1_000_000  # the most letters `enumerate_words` holds
+
+
 def enumerate_words(a: BlockAutomaton, maxlen: int) -> list[str]:
     """Accepted words over the base alphabet up to ``maxlen`` letters,
-    in length-then-lexicographic order."""
+    in length-then-lexicographic order: a level of words and the subsets
+    they reach per length.  Refused with `ValueError` once the words
+    listed and the level being built hold more than `_WORD_LETTERS`
+    letters."""
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     flat = expand_blocks(a)
     edges = flat.out_edges
     out: list[str] = []
-    level: dict[str, set] = {"": set(flat.initials)}
-    for _ in range(maxlen + 1):
+    held = 0  # letters of the words in out
+    level: dict = {"": flat.initials}
+    for n in range(maxlen + 1):
         for word in sorted(level):
             if level[word] & flat.finals:
                 out.append(word)
-        nxt: dict[str, set] = defaultdict(set)
-        for word, reached in level.items():
-            for q in reached:  # one scan per state; word + letter keys the group
-                for t in edges[q]:
-                    nxt[word + t.label.letters].add(t.target)
-        level = nxt
-        if not level:
+                held += n
+        if n == maxlen or not level:
             break
+        nxt: dict = {}
+        for word, reached in level.items():
+            for label, targets in _subset_steps(edges, reached).items():
+                nxt[word + label.letters] = targets
+            if held + (n + 1) * len(nxt) > _WORD_LETTERS:
+                raise ValueError(f"words up to {maxlen} letters hold over {_WORD_LETTERS:,} letters")
+        level = nxt
     return out
 
 
@@ -232,35 +243,58 @@ def _reachable(edges: dict, seeds: Iterable[str], reverse: bool = False) -> set:
     return seen
 
 
+def longest_path(root, successors, finished: dict, keep=None) -> int:
+    """The number of edges on the longest path from ``root``, or -1 when a
+    cycle is reachable from it: the package's one depth-first walk,
+    iterative, calling ``successors(node)`` once per node it enters.
+
+    Each node's depth goes into ``finished`` as the node finishes, so the
+    dict lists nodes in finishing order, and a node found there is not
+    entered again; on a cycle every node on the path gets -1.  With
+    ``keep``, only the nodes it accepts are written, and any other node is
+    entered again wherever it is met."""
+    path = {root}
+    stack = [[root, iter(successors(root)), 0]]  # node, successors left, depth so far
+    while True:
+        frame = stack[-1]
+        for node in frame[1]:
+            depth = finished.get(node)
+            if depth is None:
+                if node not in path:
+                    path.add(node)
+                    stack.append([node, iter(successors(node)), 0])
+                    break
+                depth = -1  # met again on the path: a cycle
+            if depth < 0:  # so every node on the path reaches a cycle
+                for node, _, _ in stack:
+                    if keep is None or keep(node):
+                        finished[node] = -1
+                return -1
+            if depth >= frame[2]:
+                frame[2] = depth + 1
+        else:
+            node, _, depth = stack.pop()
+            path.remove(node)
+            if keep is None or keep(node):
+                finished[node] = depth
+            if not stack:
+                return depth
+            if depth >= stack[-1][2]:
+                stack[-1][2] = depth + 1
+
+
 def postorder(roots: Iterable, successors) -> list | None:
     """Every node reachable from the roots, each listed after all of its
-    successors, or None when a cycle is reachable.  An iterative depth-first
-    search that calls ``successors(node)`` once per node."""
-    order: list = []
-    finished: set = set()
+    successors, or None when a cycle is reachable: `longest_path` from each
+    root not yet finished."""
+    finished: dict = {}
     for root in roots:
-        if root in finished:
-            continue
-        on_path = {root}
-        stack = [(root, iter(successors(root)))]
-        while stack:
-            node, pending = stack[-1]
-            for nxt in pending:
-                if nxt in on_path:
-                    return None
-                if nxt not in finished:
-                    on_path.add(nxt)
-                    stack.append((nxt, iter(successors(nxt))))
-                    break
-            else:
-                stack.pop()
-                on_path.remove(node)
-                finished.add(node)
-                order.append(node)
-    return order
+        if root not in finished and longest_path(root, successors, finished) < 0:
+            return None
+    return list(finished)
 
 
-# --- clashing pairs and the pair graph -----------------------------------------
+# --- clashing pairs -----------------------------------------------------------
 
 
 def _clashing_pairs(edges: dict):
@@ -274,83 +308,6 @@ def _clashing_pairs(edges: dict):
             while j < len(ts) and ts[j].label.startswith(t1.label):
                 yield t1, ts[j]
                 j += 1
-
-
-def _common_depths(a: BlockAutomaton) -> array:
-    """The table behind `BlockAutomaton.common_depths`: one iterative
-    depth-first walk of the pair graph from the targets of every clashing
-    pair.  The graph's nodes are unordered state pairs; its edges read one
-    label on both sides.  A node's depth is its longest path, -1 when a
-    cycle is reachable.
-
-    A finished pair is kept only where two walks can meet.  Any other pair
-    is entered from one predecessor pair, or also as the targets of one
-    clashing pair, so no pair is walked more than twice."""
-    edges = a.out_edges
-    into = a.in_edges
-    finished: dict = {}
-
-    def successors(p, q):
-        """The pairs one label on from (p, q).  A list, not a generator:
-        every frame on the walk's path holds one, and a list is smaller."""
-        found = []
-        for i, t1 in enumerate(edges[p]):
-            for t2 in edges[q][i:] if p == q else edges[q]:
-                if t1.label == t2.label:
-                    x, y = t1.target, t2.target
-                    found.append((x, y) if x <= y else (y, x))
-        return iter(found)
-
-    def meets(pair) -> bool:
-        """More than one pair of edges enters the pair."""
-        return len(into[pair[0]]) * len(into[pair[1]]) > 1
-
-    def walk(root) -> int:
-        path = {root}
-        stack = [[root, successors(*root), 0]]  # pair, successors left, depth so far
-        while True:
-            frame = stack[-1]
-            for pair in frame[1]:
-                x, y = pair
-                if not edges[x] or not edges[y]:
-                    depth = 0
-                else:
-                    depth = finished.get(pair)
-                    if depth is None:
-                        if pair not in path:
-                            path.add(pair)
-                            stack.append([pair, successors(x, y), 0])
-                            break
-                        depth = -1  # met again on the path: a cycle
-                    if depth < 0:  # so every pair on the path reads a cycle
-                        for pair, _, _ in stack:
-                            if meets(pair):
-                                finished[pair] = -1
-                        return -1
-                if depth >= frame[2]:
-                    frame[2] = depth + 1
-            else:
-                pair, _, depth = stack.pop()
-                path.remove(pair)
-                if meets(pair):
-                    finished[pair] = depth
-                if not stack:
-                    return depth
-                if depth >= stack[-1][2]:
-                    stack[-1][2] = depth + 1
-
-    # A depth stays below the number of state pairs, n(n + 1)/2, which fits
-    # 32 bits up to 65,535 states.
-    depths = array("i" if len(a.states) < 1 << 16 else "q")
-    for t1, t2 in _clashing_pairs(edges):
-        x, y = t1.target, t2.target
-        if not edges[x] or not edges[y]:
-            depths.append(0)
-            continue
-        root = (x, y) if x <= y else (y, x)
-        depth = finished.get(root)
-        depths.append(walk(root) if depth is None else depth)
-    return depths
 
 
 def standardize(a: BlockAutomaton) -> BlockAutomaton:

@@ -1,13 +1,14 @@
 """Tagged-subset walks that read k-lookahead determinism from the clash
-groups of a width-1 automaton, with the pair table (`common_depths`) as the
-fallback when a walk runs over its work budget."""
+groups of a width-1 automaton, and the pair table (`common_depths`) that is
+their fallback when a walk runs over its work budget.  Each group's depth
+and each entry of the table is one `automaton.longest_path` walk."""
 
 from __future__ import annotations
 
 from array import array
 from itertools import combinations, groupby
 
-from .automaton import BlockAutomaton, _clashing_pairs
+from .automaton import BlockAutomaton, longest_path
 
 
 def _clash_groups(edges: dict):
@@ -21,6 +22,54 @@ def _clash_groups(edges: dict):
             group = list(run)
             if len(group) > 1:
                 yield group
+
+
+def _group_pairs(groups):
+    """The clashing pairs: the pairs inside each group, in sorted order."""
+    return (pair for group in groups for pair in combinations(group, 2))
+
+
+def _typecode(a: BlockAutomaton) -> str:
+    """The array typecode of a depth.  A depth stays below the number of
+    state pairs, n(n + 1)/2, which fits 32 bits up to 65,535 states."""
+    return "i" if len(a.states) < 1 << 16 else "q"
+
+
+def _common_depths(a: BlockAutomaton) -> array:
+    """The table behind `BlockAutomaton.common_depths`: a walk of the pair
+    graph from the targets of every clashing pair.  The graph's nodes are
+    unordered state pairs; its edges read one label on both sides.
+
+    A finished pair is kept only where two walks can meet.  Any other pair
+    is entered from one predecessor pair, or also as the targets of one
+    clashing pair, so no pair is walked more than twice."""
+    edges = a.out_edges
+    into = a.in_edges
+    finished: dict = {}
+
+    def successors(pair) -> list:
+        """The pairs one label on.  A list, not a generator: every frame on
+        the walk's path holds one, and a list is smaller."""
+        p, q = pair
+        found = []
+        for i, t1 in enumerate(edges[p]):
+            for t2 in edges[q][i:] if p == q else edges[q]:
+                if t1.label == t2.label:
+                    x, y = t1.target, t2.target
+                    found.append((x, y) if x <= y else (y, x))
+        return found
+
+    def meets(pair) -> bool:
+        """More than one pair of edges enters the pair."""
+        return len(into[pair[0]]) * len(into[pair[1]]) > 1
+
+    depths = array(_typecode(a))
+    for t1, t2 in _group_pairs(_clash_groups(edges)):
+        x, y = t1.target, t2.target
+        root = (x, y) if x <= y else (y, x)
+        depth = finished.get(root)
+        depths.append(longest_path(root, successors, finished, meets) if depth is None else depth)
+    return depths
 
 
 class _OverBudget(Exception):
@@ -104,30 +153,7 @@ class _TaggedWalk:
         two least, and two tags meet in a node iff they meet in its two-least
         reduction."""
         size = len(targets)
-        root = self._root(targets)
-        finished: dict = {}  # node -> depth; this group's only
-        path = {root}
-        stack = [[root, iter(self._steps(root, size, 2)), 0]]  # node, successors left, depth so far
-        while True:
-            frame = stack[-1]
-            for node in frame[1]:
-                depth = finished.get(node)
-                if depth is None:
-                    if node in path:
-                        return -1
-                    path.add(node)
-                    stack.append([node, iter(self._steps(node, size, 2)), 0])
-                    break
-                if depth >= frame[2]:
-                    frame[2] = depth + 1
-            else:
-                node, _, depth = stack.pop()
-                path.remove(node)
-                finished[node] = depth
-                if not stack:
-                    return depth
-                if depth >= stack[-1][2]:
-                    stack[-1][2] = depth + 1
+        return longest_path(self._root(targets), lambda node: self._steps(node, size, 2), {})
 
     def pairs(self, targets: tuple, level: int) -> list:
         """The pairs (i, j), i < j, of these targets that read a common word
@@ -168,15 +194,14 @@ def _group_depths(a: BlockAutomaton) -> array:
     the walks use up their budget."""
     groups = list(_clash_groups(a.out_edges))
     targets = _group_targets(groups)
-    typecode = "i" if len(a.states) < 1 << 16 else "q"  # as `_common_depths`
     try:
         walk = _walk(a, groups)
         depth = {t: walk.depth(t) for t in dict.fromkeys(targets)}
-        return array(typecode, [depth[t] for t in targets])
+        return array(_typecode(a), [depth[t] for t in targets])
     except _OverBudget:
         pass
     table = iter(a.common_depths)
-    depths = array(typecode)
+    depths = array(_typecode(a))
     for g in groups:
         run = [next(table) for _ in range(len(g) * (len(g) - 1) // 2)]
         depths.append(-1 if -1 in run else max(run))
@@ -188,9 +213,8 @@ def _lookahead_violations(a: BlockAutomaton, k: int) -> tuple:
     word of k - 1 letters: those whose depth is unbounded or at least
     k - 1.  A level walk k - 1 deep in each group that reaches k - 1, or
     the pair table once it is built or when the walk uses up its budget."""
-    edges = a.out_edges
+    groups = list(_clash_groups(a.out_edges))
     if "common_depths" not in a.__dict__:
-        groups = list(_clash_groups(edges))
         try:
             walk = _walk(a, groups)
             named: dict = {}  # targets -> their pairs (i, j)
@@ -203,5 +227,5 @@ def _lookahead_violations(a: BlockAutomaton, k: int) -> tuple:
             return tuple(found)
         except _OverBudget:
             pass
-    pairs = zip(_clashing_pairs(edges), a.common_depths)
+    pairs = zip(_group_pairs(groups), a.common_depths)
     return tuple(pair for pair, depth in pairs if depth < 0 or depth >= k - 1)

@@ -247,3 +247,31 @@ def path_language(marked, maxlen: int) -> set[tuple]:
 
 def bounded_language(expr: RegexAst, maxlen: int) -> set[tuple]:
     return language(expr, maxlen)
+
+
+def reference_postorder(roots, successors) -> list | None:
+    """The depth-first walk that `automaton.longest_path` replaced, kept as
+    its referee: every node reachable from the roots, each listed after all
+    of its successors, or None when a cycle is reachable."""
+    order: list = []
+    finished: set = set()
+    for root in roots:
+        if root in finished:
+            continue
+        on_path = {root}
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if nxt in on_path:
+                    return None
+                if nxt not in finished:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(node)
+                finished.add(node)
+                order.append(node)
+    return order

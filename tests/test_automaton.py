@@ -661,6 +661,17 @@ class TestEnumerate:
             a = glushkov(expr).automaton
             assert set(enumerate_words(a, 5)) == base_language(expr, 5)
 
+    def test_letter_budget(self):
+        # a* lists one word per length: up to 1,413 letters they hold
+        # 999,091 letters, and the level of 1,414 letters passes 1,000,000.
+        a = glushkov(parse("a*")).automaton
+        assert len(enumerate_words(a, 1413)) == 1414
+        for maxlen in (1414, 10**20):
+            with pytest.raises(ValueError, match="hold over 1,000,000 letters"):
+                enumerate_words(a, maxlen)
+        with pytest.raises(ValueError, match="hold over 1,000,000 letters"):
+            enumerate_words(glushkov(parse("(a+b)*")).automaton, 40)
+
 
 class TestPipelineAgreement:
     def test_accepts_stable_across_pipeline(self, corpus_automata):

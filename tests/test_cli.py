@@ -1010,6 +1010,7 @@ def _contract_corpus(tmp_path: Path) -> list:
     ]
     corpus += [["--dot", "check", "block", "a*", "-k", "1"], ["--dot", "bkw", "a*"]]
     corpus += [["--dot", "enumerate", "a*", "-n", "2"]]
+    corpus += [["enumerate", "a*", "-n", str(10**20)], ["enumerate", "(a+b)*", "-n", "40"]]
 
     rng = random.Random(19)
     texts = [to_text(random_expression(rng, 5, 1 + i % 3)) for i in range(15)]
@@ -1085,6 +1086,7 @@ def test_exit_code_contract(tmp_path):
         (["check", "one-unambiguous", "(a+b)*a"], (0, '{\n  "one_unambiguous": true\n}\n', "")),
         (["--text", "check", "block", "a+ab", "-k", "2"], (1, "2-block deterministic: False\n", "")),
         (["witness", "unary_Aj", "-k", str(10**20)], (2, "", "blockdet: parameter must be <= 249999\n")),
+        (["enumerate", "(a+b)*", "-n", "40"], (2, "", "blockdet: words up to 40 letters hold over 1,000,000 letters\n")),
     ]:
         done = subprocess.run(
             [sys.executable, "-m", "blockdet", *argv],

@@ -18,11 +18,17 @@ from blockdet import (
     parse,
     width,
 )
-from blockdet.automaton import postorder
 from blockdet.syntax import Empty
 from blockdet.witnesses import block_bk
 
-from conftest import glushkov_union_tail, glushkov_two_lookahead, glushkov_two_block, min_dfa_two_block, random_expression
+from conftest import (
+    glushkov_two_block,
+    glushkov_two_lookahead,
+    glushkov_union_tail,
+    min_dfa_two_block,
+    random_expression,
+    reference_postorder,
+)
 
 
 class TestIsDeterministic:
@@ -402,7 +408,7 @@ def _longest_common_depth(a: BlockAutomaton, q1, q2) -> int | None:
         graph[pair] = set(_pair_successors(a, pair))
         return graph[pair]
 
-    order = postorder([seed], successors)
+    order = reference_postorder([seed], successors)
     if order is None:
         return None
     depth: dict = {}

@@ -319,7 +319,8 @@ def standardize(a: BlockAutomaton) -> BlockAutomaton:
     """
     start = fresh_name(a.states, "i'")
     edges = a.out_edges
-    copied = {Transition(start, t.label, t.target) for q in a.initials for t in edges[q]}
+    new = tuple.__new__  # a Transition past its constructor: the parts are valid
+    copied = {new(Transition, (start, t.label, t.target)) for q in a.initials for t in edges[q]}
     finals = set(a.finals)
     if a.initials & a.finals:
         finals.add(start)
@@ -350,6 +351,7 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
     symbols = {c: BlockSymbol(c) for b in a.alphabet for c in b}
     chains: dict[tuple[str, str], str] = {}
     transitions: list[Transition] = []
+    new = tuple.__new__  # a Transition past its constructor: the parts are valid
     for t in sorted(a.transitions):
         letters = t.label  # a str: slices and letters are plain strs
         source = t.source
@@ -357,14 +359,14 @@ def expand_blocks(a: BlockAutomaton) -> BlockAutomaton:
             key = (letters[offset:], t.target)
             shared = chains.get(key)
             if shared is not None:
-                transitions.append(Transition(source, symbols[letters[offset - 1]], shared))
+                transitions.append(new(Transition, (source, symbols[letters[offset - 1]], shared)))
                 break
             fresh = chains[key] = fresh_name(states, f"@{len(chains)}")
             states.add(fresh)
-            transitions.append(Transition(source, symbols[letters[offset - 1]], fresh))
+            transitions.append(new(Transition, (source, symbols[letters[offset - 1]], fresh)))
             source = fresh
         else:
-            transitions.append(Transition(source, symbols[letters[-1]], t.target))
+            transitions.append(new(Transition, (source, symbols[letters[-1]], t.target)))
     return _trusted(states, a.initials, a.finals, transitions)
 
 
@@ -405,11 +407,12 @@ def determinize(a: BlockAutomaton) -> BlockAutomaton:
                 subsets.append(targets)
                 agenda.append(targets)
     names = _name_groups(subsets)
+    new = tuple.__new__  # a Transition past its constructor: the parts are valid
     det = _trusted(
         names.values(),
         [names[start]],
         [names[s] for s in subsets if s & a.finals],
-        [Transition(names[s], letter, names[t]) for s, letter, t in moves],
+        [new(Transition, (names[s], letter, names[t])) for s, letter, t in moves],
     )
     return trim(det)
 
@@ -447,11 +450,12 @@ def minimize(a: BlockAutomaton) -> BlockAutomaton:
         raise ValueError("minimize expects a deterministic automaton")
     a = trim(a)
     rename = _quotient([(q, q in a.finals, row) for q, row in a.out_edges.items()])
+    new = tuple.__new__  # a Transition past its constructor: the parts are valid
     return _trusted(
         rename.values(),
         [rename[q] for q in a.initials],
         [rename[q] for q in a.finals],
-        [Transition(rename[t.source], t.label, rename[t.target]) for t in a.transitions],
+        [new(Transition, (rename[t.source], t.label, rename[t.target])) for t in a.transitions],
     )
 
 

@@ -289,8 +289,9 @@ def _bkw_step(key: tuple) -> tuple[dict, list]:
         gates = set(out)
         rows = [(q, q in gates, [t for t in edges[q] if t.target in members]) for q in states]
         rename = _quotient(rows)
+        new = tuple.__new__  # a Transition past its constructor: the parts are valid
         inside = frozenset(
-            [Transition(rename[q], t.label, rename[t.target]) for q, _, row in rows for t in row]
+            [new(Transition, (rename[q], t.label, rename[t.target])) for q, _, row in rows for t in row]
         )
         merged_finals = frozenset([rename[q] for q in out])
         label = "{" + ",".join(states) + "}"

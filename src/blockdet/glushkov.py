@@ -25,14 +25,16 @@ def glushkov(expr: RegexAst | MarkedExpression) -> GlushkovAutomaton:
     initial when the expression is nullable)."""
     marked = expr if isinstance(expr, MarkedExpression) else mark(expr)
     table = positions(marked)
-    name = {p: p.state_name() for p in marked.positions}
+    # The text of `Position.state_name`, and `Transition`s built past their
+    # own constructor, which costs half as much again, into a list that
+    # `_trusted` freezes once.
+    name = {p: p.block + "_" + str(p.index) for p in marked.positions}
+    new = tuple.__new__
     states = {INITIAL_STATE, *name.values()}
-    transitions = {
-        Transition(INITIAL_STATE, p.block, name[p]) for p in table.first
-    }
+    transitions = [new(Transition, (INITIAL_STATE, p.block, name[p])) for p in table.first]
     for source, followers in table.follow.items():
-        for p in followers:
-            transitions.add(Transition(name[source], p.block, name[p]))
+        source_name = name[source]
+        transitions += [new(Transition, (source_name, p.block, name[p])) for p in followers]
     finals = {name[p] for p in table.last}
     if table.nullable:
         finals.add(INITIAL_STATE)

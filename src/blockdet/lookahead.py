@@ -158,13 +158,23 @@ class _TaggedWalk:
     def pairs(self, targets: tuple, level: int) -> list:
         """The pairs (i, j), i < j, of these targets that read a common word
         of ``level`` letters, in sorted order: a level walk keeping every
-        tag, where such a pair's tags meet in one node."""
+        tag, where such a pair's tags meet in one node.  Each level's set of
+        nodes is a function of the one before, so once a set repeats the
+        walk jumps ahead by the period."""
         size = len(targets)
-        nodes = {self._root(targets)}
-        for _ in range(level):
-            if not nodes:
-                return []
-            nodes = {step for node in nodes for step in self._steps(node, size, size)}
+        levels = [frozenset([self._root(targets)])]
+        seen = {levels[0]: 0}  # a level's set of nodes -> its first level
+        while len(levels) <= level:
+            nodes = frozenset(
+                [step for node in levels[-1] for step in self._steps(node, size, size)]
+            )
+            first = seen.setdefault(nodes, len(levels))
+            if first < len(levels):
+                nodes = levels[first + (level - first) % (len(levels) - first)]
+                break
+            levels.append(nodes)
+        else:
+            nodes = levels[level]
         found: set = set()
         for node in nodes:
             tags = sorted({entry % size for entry in node})

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
 KEYWORDS = ("empty", "eps")
@@ -89,9 +90,12 @@ class Position(NamedTuple):
 
 class RegexAst:
     """Base class of expression nodes.  Expressions are equal, and hash alike,
-    by structure and literal symbols at any depth: both read `_postfix`."""
+    by structure and literal symbols at any depth: both read `_postfix`.
+    Nodes are immutable and hold their fields in slots; ``_fields`` names
+    them in constructor order."""
 
     __slots__ = ()
+    _fields: tuple = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegexAst):
@@ -104,38 +108,63 @@ class RegexAst:
     def __str__(self) -> str:
         return to_text(self)
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(frozen=True, eq=False)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Empty(RegexAst):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Epsilon(RegexAst):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Literal(RegexAst):
     # BlockSymbol in plain expressions; Position / ExpandedSymbol in derived ones.
-    symbol: object
+    __slots__ = _fields = ("symbol",)
+
+    def __init__(self, symbol):
+        _set_symbol(self, symbol)
 
 
-@dataclass(frozen=True, eq=False)
-class Union(RegexAst):
-    left: RegexAst
-    right: RegexAst
+class _Binary(RegexAst):
+    """The fields of `Union` and `Concat`; not a node itself."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: RegexAst, right: RegexAst):
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True, eq=False)
-class Concat(RegexAst):
-    left: RegexAst
-    right: RegexAst
+class Union(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+class Concat(_Binary):
+    __slots__ = ()
+
+
 class Star(RegexAst):
-    child: RegexAst
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child: RegexAst):
+        _set_child(self, child)
+
+
+# Slot setters: construction writes through them, past the refusing __setattr__.
+_set_symbol = Literal.symbol.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_child = Star.child.__set__
 
 
 def fold(ast: RegexAst, leaf, union, concat, star):
@@ -147,29 +176,48 @@ def fold(ast: RegexAst, leaf, union, concat, star):
     todo: list = [ast]  # nodes to visit, and node classes marking a combine step
     while todo:
         node = todo.pop()
-        if node is Union or node is Concat:
-            right = values.pop()
-            values[-1] = (union if node is Union else concat)(values[-1], right)
-        elif node is Star:
-            values[-1] = star(values[-1])
-        elif isinstance(node, (Literal, Epsilon, Empty)):
+        cls = type(node)
+        if cls is Literal:
             values.append(leaf(node))
-        elif isinstance(node, Union):
-            todo += (Union, node.right, node.left)
-        elif isinstance(node, Concat):
-            todo += (Concat, node.right, node.left)
-        elif isinstance(node, Star):
+        elif cls is type:  # a node class: combine the values on top
+            if node is Star:
+                values[-1] = star(values[-1])
+            else:
+                right = values.pop()
+                values[-1] = (union if node is Union else concat)(values[-1], right)
+        elif cls is Concat or cls is Union:
+            todo += (cls, node.right, node.left)
+        elif cls is Star:
             todo += (Star, node.child)
+        elif cls is Epsilon or cls is Empty:
+            values.append(leaf(node))
         else:
             raise TypeError(f"not an expression node: {node!r}")
     return values[0]
+
+
+def _leaves(ast: RegexAst) -> Iterator[RegexAst]:
+    """The leaves of an expression (`empty`, `eps` and literals), left to
+    right, without recursion."""
+    todo: list = [ast]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is Literal or cls is Epsilon or cls is Empty:
+            yield node
+        elif cls is Union or cls is Concat:
+            todo += (node.right, node.left)
+        elif cls is Star:
+            todo.append(node.child)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
 
 
 def _postfix(ast: RegexAst) -> list:
     """The expression in postfix order, which determines it: each literal's
     symbol, and the class of every other node after its children's."""
     out: list = []
-    leaf = lambda node: out.append(node.symbol if isinstance(node, Literal) else type(node))
+    leaf = lambda node: out.append(node.symbol if type(node) is Literal else type(node))
     inner = lambda cls: lambda *_: out.append(cls)
     fold(ast, leaf, inner(Union), inner(Concat), inner(Star))
     return out
@@ -210,6 +258,7 @@ def _lex(text: str) -> list[tuple[str, str | None, int]]:
 def parse(text: str) -> RegexAst:
     """Parse expression text into an AST; ``parse(to_text(e)) == e``."""
     groups: list[tuple] = []  # (union, concat) of each enclosing open parenthesis
+    symbols: dict = {}  # token text -> its BlockSymbol, one per distinct text
     # `union` and `concat` are the left operands built so far in the current
     # group; `node` is the operand being read, None while one is expected.
     union = concat = node = None
@@ -234,7 +283,10 @@ def parse(text: str) -> RegexAst:
             if kind not in _ATOM_STARTS:
                 continue
         if kind in ("letter", "block"):
-            node = Literal(BlockSymbol(value))
+            symbol = symbols.get(value)
+            if symbol is None:
+                symbol = symbols[value] = BlockSymbol(value)
+            node = Literal(symbol)
         elif kind == "eps":
             node = Epsilon()
         elif kind == "empty":
@@ -250,55 +302,124 @@ def parse(text: str) -> RegexAst:
 
 
 def to_text(ast: RegexAst) -> str:
-    """Render to concrete syntax (round-trips through parse for plain ASTs)."""
+    """Render to concrete syntax (round-trips through parse for plain ASTs).
 
-    def wrap(part: tuple[str, int], min_prec: int) -> str:
-        text, prec = part
-        return f"({text})" if prec < min_prec else text
+    A value is the text as a list of non-empty pieces, with its precedence.
+    A union or concatenation appends to its left operand's list, which no
+    other value holds, so each maximal chain is joined once, when it is
+    wrapped or printed."""
 
-    return fold(
+    def text(part: tuple[list, int], min_prec: int) -> str:
+        pieces, prec = part
+        joined = "".join(pieces)
+        return f"({joined})" if prec < min_prec else joined
+
+    def union(left: tuple[list, int], right: tuple[list, int]) -> tuple[list, int]:
+        pieces = left[0]
+        pieces += ("+", text(right, 2))
+        return pieces, 1
+
+    def concat(left: tuple[list, int], right: tuple[list, int]) -> tuple[list, int]:
+        pieces = left[0] if left[1] >= 2 else [text(left, 2)]
+        tail = text(right, 3)
+        # Every piece is non-empty, so the last four hold the last four
+        # characters, which are all that `_needs_dot` reads.
+        if _needs_dot("".join(pieces[-4:]), tail):
+            pieces.append(".")
+        pieces.append(tail)
+        return pieces, 2
+
+    pieces, _ = fold(
         ast,
-        lambda leaf: (_leaf_text(leaf), 4),
-        lambda left, right: (left[0] + "+" + wrap(right, 2), 1),
-        lambda left, right: (_join(wrap(left, 2), wrap(right, 3)), 2),
-        lambda child: (wrap(child, 3) + "*", 3),
-    )[0]
+        lambda leaf: ([_leaf_text(leaf)], 4),
+        union,
+        concat,
+        lambda child: ([text(child, 3) + "*"], 3),
+    )
+    return "".join(pieces)
 
 
 def _leaf_text(leaf: RegexAst) -> str:
-    if isinstance(leaf, Empty):
+    if type(leaf) is Empty:
         return "empty"
-    if isinstance(leaf, Epsilon):
+    if type(leaf) is Epsilon:
         return "eps"
     return str(leaf.symbol)
 
 
-def _join(left: str, right: str) -> str:
-    # Juxtaposition may not create an `eps`/`empty` keyword across the seam;
-    # fall back to the explicit concatenation dot when it would.
-    joined = left + right
+def _needs_dot(left: str, right: str) -> bool:
+    """Whether juxtaposing the two texts would create an `eps`/`empty`
+    keyword across the seam, so that they need the explicit concatenation
+    dot.  A keyword has at most five letters, so four on each side decide."""
+    left = left[-4:]
+    joined = left + right[:4]
     cut = len(left)
     for kw in KEYWORDS:
         for start in range(max(0, cut - len(kw) + 1), cut):
             if joined.startswith(kw, start):
-                return left + "." + right
-    return joined
+                return True
+    return False
 
 
 # --- marking and dropping ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MarkedExpression:
-    """An expression whose literal occurrences carry unique indices."""
+    """An expression whose literal occurrences carry unique indices: the
+    tree it was marked from and its positions, leaf i, left to right,
+    being position i.  ``ast``, the tree with each literal's symbol
+    replaced by its position, is built on first read and kept.  Equal, and
+    hashing alike, when their ``ast`` and positions are."""
 
-    ast: RegexAst
-    positions: tuple
+    def __init__(self, tree: RegexAst, positions):
+        positions = tuple(positions)
+        leaves = sum(1 for _ in literal_symbols(tree))
+        if leaves != len(positions):
+            raise ValueError(f"the tree has {leaves} literals but {len(positions)} positions")
+        self.__dict__.update(tree=tree, positions=positions)
+
+    @cached_property
+    def ast(self) -> RegexAst:
+        return _relabel(self.tree, self.positions)
+
+    def _key(self) -> list:
+        """`_postfix` of ``ast``, read from the tree and the positions."""
+        symbols = iter(self.positions)
+        return [s if isinstance(s, type) else next(symbols) for s in _postfix(self.tree)]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MarkedExpression):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._key()))
+
+    def __repr__(self) -> str:
+        return f"MarkedExpression(tree={self.tree!r}, positions={self.positions!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _marked(tree: RegexAst, positions: tuple, **derived) -> MarkedExpression:
+    """A `MarkedExpression` from parts its caller made agree, without the
+    leaf count; ``derived`` presets values such as ``ast``."""
+    marked = object.__new__(MarkedExpression)
+    marked.__dict__.update(tree=tree, positions=positions, **derived)
+    return marked
+
+
+def _relabel(tree: RegexAst, symbols) -> RegexAst:
+    """The tree with its literals' symbols replaced, left to right, by ``symbols``."""
+    symbols = iter(symbols)
+    leaf = lambda node: Literal(next(symbols)) if type(node) is Literal else node
+    return fold(tree, leaf, Union, Concat, Star)
 
 
 def literal_symbols(ast: RegexAst) -> Iterator:
     """Leaf symbols in left-to-right order."""
-    return (s for s in _postfix(ast) if not isinstance(s, type))
+    return (node.symbol for node in _leaves(ast) if type(node) is Literal)
 
 
 def width(ast: RegexAst) -> int:
@@ -308,34 +429,34 @@ def width(ast: RegexAst) -> int:
 
 def is_trimmed(ast: RegexAst) -> bool:
     """True iff the expression is `empty` itself or contains no `empty` node."""
-    return isinstance(ast, Empty) or Empty not in _postfix(ast)
+    return type(ast) is Empty or not any(type(node) is Empty for node in _leaves(ast))
 
 
 def mark(ast: RegexAst) -> MarkedExpression:
-    """Index block occurrences 1..n left to right."""
-    if isinstance(ast, Empty):
-        return MarkedExpression(ast, ())
+    """Index block occurrences 1..n left to right: one walk over the leaves
+    that checks them and makes the positions; no tree is built."""
+    if type(ast) is Empty:
+        return _marked(ast, ())
+    new = tuple.__new__  # Position's own constructor costs half as much again
     acc: list[Position] = []
-
-    def leaf(node: RegexAst) -> RegexAst:
-        if isinstance(node, Empty):
+    for node in _leaves(ast):
+        cls = type(node)
+        if cls is Literal:
+            symbol = node.symbol
+            if not isinstance(symbol, BlockSymbol):
+                raise ValueError("expression is already marked")
+            acc.append(new(Position, (len(acc) + 1, symbol)))
+        elif cls is Empty:
             raise ValueError("expression is not trimmed: `empty` occurs as a subterm")
-        if not isinstance(node, Literal):
-            return node
-        if not isinstance(node.symbol, BlockSymbol):
-            raise ValueError("expression is already marked")
-        acc.append(Position(len(acc) + 1, node.symbol))
-        return Literal(acc[-1])
-
-    marked = fold(ast, leaf, Union, Concat, Star)
-    return MarkedExpression(marked, tuple(acc))
+    return _marked(ast, tuple(acc))
 
 
 def drop(value: MarkedExpression | RegexAst) -> RegexAst:
     """Remove indices (and flatten expanded letters) back to a plain expression."""
-    ast = value.ast if isinstance(value, MarkedExpression) else value
-    leaf = lambda node: Literal(node.symbol.drop()) if isinstance(node, Literal) else node
-    return fold(ast, leaf, Union, Concat, Star)
+    if isinstance(value, MarkedExpression):
+        return _relabel(value.tree, [p.drop() for p in value.positions])
+    leaf = lambda node: Literal(node.symbol.drop()) if type(node) is Literal else node
+    return fold(value, leaf, Union, Concat, Star)
 
 
 # --- position functions ------------------------------------------------------
@@ -352,27 +473,35 @@ class PositionTable:
 
 
 def positions(marked: MarkedExpression | RegexAst) -> PositionTable:
-    """Compute the position functions by structural induction."""
-    ast = marked.ast if isinstance(marked, MarkedExpression) else marked
+    """Compute the position functions by structural induction.  A marked
+    expression is read as its tree with leaf i standing for position i, so
+    its ``ast`` is not built."""
+    if isinstance(marked, MarkedExpression):
+        tree, symbols = marked.tree, iter(marked.positions)
+    else:
+        tree, symbols = marked, None
     follow: dict = {}
 
     def leaf(node: RegexAst) -> tuple[bool, set, set]:
-        if isinstance(node, Literal):
-            if node.symbol in follow:
-                raise ValueError(f"symbol occurs twice, input is not marked: {node.symbol}")
-            follow[node.symbol] = set()
-            return False, {node.symbol}, {node.symbol}
-        return isinstance(node, Epsilon), set(), set()
+        if type(node) is Literal:
+            x = node.symbol if symbols is None else next(symbols)
+            if x in follow:
+                raise ValueError(f"symbol occurs twice, input is not marked: {x}")
+            follow[x] = set()
+            return False, {x}, {x}
+        return type(node) is Epsilon, set(), set()
 
+    # First and Last sets belong to their node's value alone, so a parent
+    # merges its children's into the larger one instead of copying both.
     def union(left, right):
         (nl, fl, ll), (nr, fr, lr) = left, right
-        return nl or nr, fl | fr, ll | lr
+        return nl or nr, _merge(fl, fr), _merge(ll, lr)
 
     def concat(left, right):
         (nl, fl, ll), (nr, fr, lr) = left, right
         for x in ll:
             follow[x] |= fr
-        return nl and nr, fl | (fr if nl else set()), lr | (ll if nr else set())
+        return nl and nr, _merge(fl, fr) if nl else fl, _merge(lr, ll) if nr else lr
 
     def star(child):
         _, f, l = child
@@ -380,7 +509,7 @@ def positions(marked: MarkedExpression | RegexAst) -> PositionTable:
             follow[x] |= f
         return True, f, l
 
-    nullable, first, last = fold(ast, leaf, union, concat, star)
+    nullable, first, last = fold(tree, leaf, union, concat, star)
     return PositionTable(
         nullable,
         frozenset(first),
@@ -388,6 +517,14 @@ def positions(marked: MarkedExpression | RegexAst) -> PositionTable:
         # Each set is dropped as it is frozen, so the table is never held twice.
         {x: frozenset(follow.pop(x)) for x in list(follow)},
     )
+
+
+def _merge(a: set, b: set) -> set:
+    """The union of two sets that no one else holds, made in the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 # --- bounded language semantics ----------------------------------------------

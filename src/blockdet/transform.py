@@ -16,6 +16,7 @@ from .syntax import (
     RegexAst,
     Star,
     Union,
+    _marked,
     fold,
 )
 
@@ -41,9 +42,12 @@ def eliminate(a: BlockAutomaton, state: str) -> BlockAutomaton:
     incoming = a.in_edges[state]
     outgoing = a.out_edges[state]
     kept = set(a.transitions).difference(incoming, outgoing)
+    # Two blocks concatenated are a block: the label and the Transition are
+    # built past their constructors' checks.
+    new, block = tuple.__new__, str.__new__
     for i in incoming:
         for o in outgoing:
-            kept.add(Transition(i.source, BlockSymbol(i.label + o.label), o.target))
+            kept.add(new(Transition, (i.source, block(BlockSymbol, i.label + o.label), o.target)))
     return _trusted(a.states - {state}, a.initials, a.finals, kept)
 
 
@@ -114,23 +118,26 @@ def phi_inverse(word: Sequence[ExpandedSymbol]) -> Position:
 
 def chi(marked: MarkedExpression) -> MarkedExpression:
     """Replace every indexed block by the concatenation of its expanded
-    letters, turning a marked block expression into a marked plain one."""
+    letters, turning a marked block expression into a marked plain one,
+    whose tree's literals already carry their expanded letters."""
     acc: list[ExpandedSymbol] = []
+    positions = iter(marked.positions)
 
     def leaf(node: RegexAst) -> RegexAst:
-        if not isinstance(node, Literal):
+        if type(node) is not Literal:
             return node
-        if not isinstance(node.symbol, Position):
+        position = next(positions)
+        if not isinstance(position, Position):
             raise ValueError("chi needs a marked block expression")
-        symbols = phi(node.symbol)
+        symbols = phi(position)
         acc.extend(symbols)
         out: RegexAst = Literal(symbols[0])
         for sym in symbols[1:]:
             out = Concat(out, Literal(sym))
         return out
 
-    ast = fold(marked.ast, leaf, Union, Concat, Star)
-    return MarkedExpression(ast, tuple(acc))
+    ast = fold(marked.tree, leaf, Union, Concat, Star)
+    return _marked(ast, tuple(acc), ast=ast)
 
 
 def block_lengths(marked: MarkedExpression) -> dict:

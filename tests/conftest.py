@@ -8,12 +8,17 @@ import pytest
 
 from blockdet import BlockAutomaton, BlockSymbol, parse
 from blockdet.syntax import (
+    KEYWORDS,
     Concat,
+    Empty,
     Epsilon,
     Literal,
+    Position,
+    PositionTable,
     RegexAst,
     Star,
     Union,
+    fold,
     language,
     positions,
 )
@@ -275,3 +280,93 @@ def reference_postorder(roots, successors) -> list | None:
                 finished.add(node)
                 order.append(node)
     return order
+
+
+def reference_mark(ast: RegexAst) -> tuple[RegexAst, tuple]:
+    """The marking that `syntax.mark` replaced, kept as its referee: a fold
+    that builds the marked tree, each literal carrying its `Position`, and
+    the positions, left to right."""
+    if isinstance(ast, Empty):
+        return ast, ()
+    acc: list = []
+
+    def leaf(node: RegexAst) -> RegexAst:
+        if isinstance(node, Empty):
+            raise ValueError("expression is not trimmed: `empty` occurs as a subterm")
+        if not isinstance(node, Literal):
+            return node
+        if not isinstance(node.symbol, BlockSymbol):
+            raise ValueError("expression is already marked")
+        acc.append(Position(len(acc) + 1, node.symbol))
+        return Literal(acc[-1])
+
+    return fold(ast, leaf, Union, Concat, Star), tuple(acc)
+
+
+def reference_positions(marked_ast: RegexAst) -> PositionTable:
+    """The position functions as `syntax.positions` computed them before it
+    merged First and Last in place, kept as its referee: every union and
+    concatenation copies its children's sets.  Reads a marked tree."""
+    follow: dict = {}
+
+    def leaf(node):
+        if isinstance(node, Literal):
+            if node.symbol in follow:
+                raise ValueError(f"symbol occurs twice, input is not marked: {node.symbol}")
+            follow[node.symbol] = set()
+            return False, {node.symbol}, {node.symbol}
+        return isinstance(node, Epsilon), set(), set()
+
+    def union(left, right):
+        (nl, fl, ll), (nr, fr, lr) = left, right
+        return nl or nr, fl | fr, ll | lr
+
+    def concat(left, right):
+        (nl, fl, ll), (nr, fr, lr) = left, right
+        for x in ll:
+            follow[x] |= fr
+        return nl and nr, fl | (fr if nl else set()), lr | (ll if nr else set())
+
+    def star(child):
+        _, f, l = child
+        for x in l:
+            follow[x] |= f
+        return True, f, l
+
+    nullable, first, last = fold(marked_ast, leaf, union, concat, star)
+    return PositionTable(
+        nullable, frozenset(first), frozenset(last), {x: frozenset(f) for x, f in follow.items()}
+    )
+
+
+def reference_to_text(ast: RegexAst) -> str:
+    """The printer that `syntax.to_text` replaced, kept as its referee: each
+    union and concatenation copies its left operand's text."""
+
+    def wrap(part: tuple[str, int], min_prec: int) -> str:
+        text, prec = part
+        return f"({text})" if prec < min_prec else text
+
+    def join(left: str, right: str) -> str:
+        joined = left + right
+        cut = len(left)
+        for kw in KEYWORDS:
+            for start in range(max(0, cut - len(kw) + 1), cut):
+                if joined.startswith(kw, start):
+                    return left + "." + right
+        return joined
+
+    def leaf_text(leaf: RegexAst) -> str:
+        if isinstance(leaf, Empty):
+            return "empty"
+        if isinstance(leaf, Epsilon):
+            return "eps"
+        return str(leaf.symbol)
+
+    return fold(
+        ast,
+        lambda leaf: (leaf_text(leaf), 4),
+        lambda left, right: (left[0] + "+" + wrap(right, 2), 1),
+        lambda left, right: (join(wrap(left, 2), wrap(right, 3)), 2),
+        lambda child: (wrap(child, 3) + "*", 3),
+    )[0]

@@ -213,9 +213,10 @@ class TestChi:
     def test_needs_marked_input(self):
         from blockdet.syntax import Literal, MarkedExpression
 
-        bogus = MarkedExpression(Literal(BlockSymbol("a")), ())
-        with pytest.raises(ValueError):
-            chi(bogus)
+        with pytest.raises(ValueError, match="^chi needs a marked block expression$"):
+            chi(MarkedExpression(Literal(BlockSymbol("a")), (BlockSymbol("a"),)))
+        with pytest.raises(ValueError, match="^the tree has 1 literals but 0 positions$"):
+            chi(MarkedExpression(Literal(BlockSymbol("a")), ()))
 
 
 class TestBlockComplete:

@@ -7,43 +7,40 @@ is no sink completion, and the alphabet is the labels the transitions use.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Container, Iterable, Mapping
 from functools import cached_property
-from typing import Container, Iterable, Mapping, NamedTuple
 
-from .syntax import BlockSymbol
+from .syntax import BlockSymbol, _Record
 
 
-class Transition(NamedTuple):
-    """An edge; a tuple, so hashing, equality and ordering (source, then
+class Transition(namedtuple("Transition", ("source", "label", "target"))):
+    """An edge: a ``source`` and a ``target`` state and a `BlockSymbol`
+    ``label``.  A tuple, so hashing, equality and ordering (source, then
     label, then target) run in C."""
 
-    source: str
-    label: BlockSymbol
-    target: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.source} -{self.label.letters}-> {self.target}"
 
 
-@dataclass(frozen=True)
-class BlockAutomaton:
-    states: frozenset
-    initials: frozenset
-    finals: frozenset
-    transitions: frozenset
+class BlockAutomaton(_Record):
+    """Four frozensets: the ``states`` (strings), the ``initials`` and
+    ``finals`` among them, and the ``transitions`` (`Transition`s between
+    them).  Equal, and hashing alike, by these four.  Unlike the other
+    records it keeps an instance dict, which also holds what is derived
+    from the four on first use."""
 
-    def __post_init__(self):
-        if not self.initials <= self.states:
-            raise ValueError("initial states must be states")
-        if not self.finals <= self.states:
-            raise ValueError("final states must be states")
-        if not all(isinstance(q, str) for q in self.states):
-            raise ValueError("state names must be strings")
-        for t in self.transitions:
-            if t.source not in self.states or t.target not in self.states:
-                raise ValueError(f"transition endpoints must be states: {t}")
+    _fields = ("states", "initials", "finals", "transitions")
+
+    def __init__(
+        self, states: frozenset, initials: frozenset, finals: frozenset, transitions: frozenset
+    ):
+        _check(states, initials, finals, transitions)
+        self.__dict__.update(
+            states=states, initials=initials, finals=finals, transitions=transitions
+        )
 
     @classmethod
     def make(
@@ -109,6 +106,19 @@ class BlockAutomaton:
         return _common_depths(self)
 
 
+def _check(states, initials, finals, transitions) -> None:
+    """Refuse parts that make no automaton, with `ValueError`."""
+    if not initials <= states:
+        raise ValueError("initial states must be states")
+    if not finals <= states:
+        raise ValueError("final states must be states")
+    if not all(isinstance(q, str) for q in states):
+        raise ValueError("state names must be strings")
+    for t in transitions:
+        if t.source not in states or t.target not in states:
+            raise ValueError(f"transition endpoints must be states: {t}")
+
+
 def _edge_table(states, transitions, end: int) -> dict:
     """Map each state, in sorted order, to the transitions that have it at
     ``end`` (0: the source, 2: the target), in sorted order."""
@@ -123,7 +133,7 @@ def _edge_table(states, transitions, end: int) -> dict:
 def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
     """Build an automaton from parts its caller made valid: `Transition`s
     with `BlockSymbol` labels between its states.  Skips the coercion of
-    `make` and the checks of `__post_init__`.  The package's own producers
+    `make` and the checks of the constructor.  The package's own producers
     build through here; input from outside goes through `make`."""
     # Filled one by one, as `make` fills it: a copy of a set is sized from
     # the set's count, which for some counts doubles the table (4,800
@@ -650,7 +660,9 @@ def transition_to_json(t: Transition) -> dict:
 
 def from_json(data: Mapping) -> BlockAutomaton:
     """Read what `to_json` writes: each field a JSON array, each name and
-    label a JSON string, each transition an object."""
+    label a JSON string, each transition an object.  Each distinct label
+    is made a `BlockSymbol` once, and the automaton is built through
+    `_trusted`, then checked once as the constructor checks it."""
 
     def array(name: str, values, kind=str) -> list:
         if isinstance(values, list) and all(isinstance(v, kind) for v in values):
@@ -659,15 +671,20 @@ def from_json(data: Mapping) -> BlockAutomaton:
         raise TypeError(f"{name} must be {'objects' if kind is dict else 'strings'}{where}")
 
     try:
-        a = BlockAutomaton.make(
-            states=array("states", data["states"]),
-            initials=array("initials", data["initials"]),
-            finals=array("finals", data["finals"]),
-            transitions=[
-                array("transition from, label and to", [t["from"], t["label"], t["to"]])
-                for t in array("transitions", data["transitions"], dict)
-            ],
-        )
+        states = array("states", data["states"])
+        initials = array("initials", data["initials"])
+        finals = array("finals", data["finals"])
+        triples = []
+        for t in array("transitions", data["transitions"], dict):
+            source, label, target = t["from"], t["label"], t["to"]
+            if not (isinstance(source, str) and isinstance(label, str) and isinstance(target, str)):
+                raise TypeError("transition from, label and to must be strings")
+            triples.append((source, label, target))
+        symbols = {label: BlockSymbol(label) for label in dict.fromkeys([t[1] for t in triples])}
+        new = tuple.__new__  # a Transition past its constructor: the parts are strings
+        transitions = [new(Transition, (s, symbols[label], t)) for s, label, t in triples]
+        a = _trusted(states, initials, finals, transitions)
+        _check(a.states, a.initials, a.finals, a.transitions)
         for b in array("alphabet", data.get("alphabet", [])):
             BlockSymbol(b)  # checked, then ignored: the alphabet is the labels used
     except (KeyError, TypeError) as exc:

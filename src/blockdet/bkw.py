@@ -3,8 +3,7 @@ alphabetic-image certificate for k-block deterministic languages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 from .automaton import (
     BlockAutomaton,
@@ -21,7 +20,7 @@ from .automaton import (
 )
 from .determinism import is_k_block_deterministic
 from .glushkov import GlushkovAutomaton, glushkov
-from .syntax import RegexAst
+from .syntax import RegexAst, _Record, _repr, _slot_setters
 
 
 # --- orbits --------------------------------------------------------------------
@@ -33,17 +32,24 @@ from .syntax import RegexAst
 # memo key, with the index's builder `_edge_table`, and cuts it in place.
 
 
-@dataclass(frozen=True)
-class Orbit:
-    states: frozenset
-    trivial: bool
-    in_gates: frozenset
-    out_gates: frozenset
+class Orbit(_Record):
+    __slots__ = _fields = ("states", "trivial", "in_gates", "out_gates")
+
+    def __init__(self, states: frozenset, trivial: bool, in_gates: frozenset, out_gates: frozenset):
+        _set_states(self, states)
+        _set_trivial(self, trivial)
+        _set_in_gates(self, in_gates)
+        _set_out_gates(self, out_gates)
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    orbits: tuple
+_set_states, _set_trivial, _set_in_gates, _set_out_gates = _slot_setters(Orbit)
+
+
+class OrbitDecomposition(_Record):
+    __slots__ = _fields = ("orbits",)
+
+    def __init__(self, orbits: tuple):
+        _set_orbits(self, orbits)
 
     def orbit_of(self, state: str) -> Orbit:
         for orbit in self.orbits:
@@ -53,6 +59,9 @@ class OrbitDecomposition:
 
     def nontrivial(self) -> tuple:
         return tuple(o for o in self.orbits if not o.trivial)
+
+
+(_set_orbits,) = _slot_setters(OrbitDecomposition)
 
 
 def orbit_decomposition(a: BlockAutomaton) -> OrbitDecomposition:
@@ -114,15 +123,26 @@ def _orbits(roots: Iterable[str], edges: dict, finals: frozenset) -> list[tuple]
     return orbits
 
 
-@dataclass(frozen=True)
-class OrbitPropertyResult:
-    holds: bool
-    orbit: frozenset | None = None
-    pair: tuple | None = None
-    reason: str | None = None
+class OrbitPropertyResult(_Record):
+    __slots__ = _fields = ("holds", "orbit", "pair", "reason")
+
+    def __init__(
+        self,
+        holds: bool,
+        orbit: frozenset | None = None,
+        pair: tuple | None = None,
+        reason: str | None = None,
+    ):
+        _set_holds(self, holds)
+        _set_orbit(self, orbit)
+        _set_pair(self, pair)
+        _set_reason(self, reason)
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+_set_holds, _set_orbit, _set_pair, _set_reason = _slot_setters(OrbitPropertyResult)
 
 
 def orbit_property(a: BlockAutomaton) -> OrbitPropertyResult:
@@ -200,29 +220,74 @@ def orbit_automaton(a: BlockAutomaton, state: str) -> BlockAutomaton:
 # --- the BKW test -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BkwNode:
+class BkwNode(_Record):
     """One step of the BKW test: the analysis of one automaton, which every
-    parent shares, so it compares by identity."""
+    parent shares, so it compares by identity.  Its repr leaves out the
+    ``contexts``, one per child saying how this analysis reaches it, and
+    the ``children``."""
 
-    fingerprint: str
-    consistent: tuple
-    orbit_property_holds: bool | None
-    failure: str | None
-    violating_orbit: frozenset | None = None
-    violating_pair: tuple | None = None
-    contexts: tuple = field(default=(), repr=False)  # one per child: how this analysis reaches it
-    children: tuple = field(default=(), repr=False)
+    __slots__ = _fields = (
+        "fingerprint",
+        "consistent",
+        "orbit_property_holds",
+        "failure",
+        "violating_orbit",
+        "violating_pair",
+        "contexts",
+        "children",
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        fingerprint: str,
+        consistent: tuple,
+        orbit_property_holds: bool | None,
+        failure: str | None,
+        violating_orbit: frozenset | None = None,
+        violating_pair: tuple | None = None,
+        contexts: tuple = (),
+        children: tuple = (),
+    ):
+        _set_fingerprint(self, fingerprint)
+        _set_consistent(self, consistent)
+        _set_orbit_property_holds(self, orbit_property_holds)
+        _set_failure(self, failure)
+        _set_violating_orbit(self, violating_orbit)
+        _set_violating_pair(self, violating_pair)
+        _set_contexts(self, contexts)
+        _set_children(self, children)
+
+    def __repr__(self) -> str:
+        return _repr(self, self._fields[:-2])
 
     @property
     def ok(self) -> bool:
         return self.failure is None
 
 
-@dataclass(frozen=True)
-class BkwTrace:
-    verdict: bool
-    steps: BkwNode
+(
+    _set_fingerprint,
+    _set_consistent,
+    _set_orbit_property_holds,
+    _set_failure,
+    _set_violating_orbit,
+    _set_violating_pair,
+    _set_contexts,
+    _set_children,
+) = _slot_setters(BkwNode)
+
+
+class BkwTrace(_Record):
+    __slots__ = _fields = ("verdict", "steps")
+
+    def __init__(self, verdict: bool, steps: BkwNode):
+        _set_verdict(self, verdict)
+        _set_steps(self, steps)
+
+
+_set_verdict, _set_steps = _slot_setters(BkwTrace)
 
 
 def bkw_test(a: BlockAutomaton) -> BkwTrace:

@@ -3,30 +3,34 @@ plus the brute-force marked-language oracles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .automaton import BlockAutomaton, _clashing_pairs
 from .glushkov import glushkov
 from .lookahead import _lookahead_violations
-from .syntax import RegexAst, language, mark, width
+from .syntax import RegexAst, _Record, _slot_setters, language, mark, width
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Verdict of a k-indexed determinism check with its witness pairs.
 
     Violations are ordered pairs of transitions sharing a source state, in
     the sorted order the scan yields them, so the first is the least witness.
     """
 
-    k: int
-    verdict: bool
-    violations: tuple
+    __slots__ = _fields = ("k", "verdict", "violations")
+
+    def __init__(self, k: int, verdict: bool, violations: tuple):
+        _set_k(self, k)
+        _set_verdict(self, verdict)
+        _set_violations(self, violations)
 
     def __bool__(self) -> bool:
         return self.verdict
+
+
+_set_k, _set_verdict, _set_violations = _slot_setters(CheckResult)
 
 
 # --- automaton-level checks -----------------------------------------------------
@@ -91,16 +95,21 @@ def is_k_lookahead_deterministic_expression(expr: RegexAst, k: int) -> CheckResu
 # --- brute-force marked-language oracles ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """Bounded brute-force verdict; a False verdict carries a witness
     (shared prefix, first branch symbol, second branch symbol)."""
 
-    verdict: bool
-    witness: tuple | None
+    __slots__ = _fields = ("verdict", "witness")
+
+    def __init__(self, verdict: bool, witness: tuple | None):
+        _set_oracle_verdict(self, verdict)
+        _set_witness(self, witness)
 
     def __bool__(self) -> bool:
         return self.verdict
+
+
+_set_oracle_verdict, _set_witness = _slot_setters(OracleResult)
 
 
 def marked_language_oracle(kind: str, expr: RegexAst, k: int, maxlen: int) -> OracleResult:

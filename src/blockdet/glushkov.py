@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .automaton import BlockAutomaton, Transition, _trusted, to_json
-from .syntax import MarkedExpression, RegexAst, mark, positions
+from .syntax import MarkedExpression, RegexAst, _Record, _slot_setters, mark, positions
 
 INITIAL_STATE = "i"
 
 
-@dataclass(frozen=True)
-class GlushkovAutomaton:
+class GlushkovAutomaton(_Record):
     """A position automaton together with its state -> position table."""
 
-    automaton: BlockAutomaton
-    position_of_state: Mapping
+    __slots__ = _fields = ("automaton", "position_of_state")
+
+    def __init__(self, automaton: BlockAutomaton, position_of_state: Mapping):
+        _set_automaton(self, automaton)
+        _set_position_of_state(self, position_of_state)
+
+
+_set_automaton, _set_position_of_state = _slot_setters(GlushkovAutomaton)
 
 
 def glushkov(expr: RegexAst | MarkedExpression) -> GlushkovAutomaton:

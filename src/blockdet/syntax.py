@@ -11,9 +11,9 @@ base letters are restricted to alphanumerics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple
 
 KEYWORDS = ("empty", "eps")
 
@@ -69,12 +69,12 @@ class BlockSymbol(str):
         return f"BlockSymbol({str.__repr__(self)})"
 
 
-class Position(NamedTuple):
-    """One indexed block occurrence of a marked expression; a tuple, so
-    hashing, equality and ordering (index, then block) run in C."""
+class Position(namedtuple("Position", ("index", "block"))):
+    """One indexed block occurrence of a marked expression: its ``index``
+    and its ``block``, a `BlockSymbol`.  A tuple, so hashing, equality and
+    ordering (index, then block) run in C."""
 
-    index: int
-    block: BlockSymbol
+    __slots__ = ()
 
     def drop(self) -> BlockSymbol:
         return self.block
@@ -88,14 +88,59 @@ class Position(NamedTuple):
     __str__ = pretty
 
 
-class RegexAst:
-    """Base class of expression nodes.  Expressions are equal, and hash alike,
-    by structure and literal symbols at any depth: both read `_postfix`.
-    Nodes are immutable and hold their fields in slots; ``_fields`` names
-    them in constructor order."""
+class _Record:
+    """Base class of the package's immutable values.  ``_fields`` names the
+    fields in constructor order.  A subclass holds them in slots, declared
+    as ``__slots__ = _fields``, and its ``__init__`` writes them through
+    the slot setters that `_slot_setters` lists, past the refusing
+    ``__setattr__``; one that keeps values derived on first use holds its
+    fields in its instance dict instead.  Records of one class are equal,
+    and hash alike, when their fields are; the repr lists the fields by
+    name."""
 
     __slots__ = ()
     _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return _repr(self, self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles go through the constructor, not past __setattr__.
+        return type(self), self._values()
+
+
+def _repr(record: _Record, names: tuple) -> str:
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+    return f"{type(record).__name__}({fields})"
+
+
+def _slot_setters(cls: type) -> list:
+    """The ``__set__`` of each of the class's field slots, in ``_fields`` order."""
+    return [getattr(cls, name).__set__ for name in cls._fields]
+
+
+class RegexAst(_Record):
+    """Base class of expression nodes.  Expressions are equal, and hash alike,
+    by structure and literal symbols at any depth: both read `_postfix`."""
+
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegexAst):
@@ -107,16 +152,6 @@ class RegexAst:
 
     def __str__(self) -> str:
         return to_text(self)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Empty(RegexAst):
@@ -160,11 +195,9 @@ class Star(RegexAst):
         _set_child(self, child)
 
 
-# Slot setters: construction writes through them, past the refusing __setattr__.
-_set_symbol = Literal.symbol.__set__
-_set_left = _Binary.left.__set__
-_set_right = _Binary.right.__set__
-_set_child = Star.child.__set__
+(_set_symbol,) = _slot_setters(Literal)
+_set_left, _set_right = _slot_setters(_Binary)
+(_set_child,) = _slot_setters(Star)
 
 
 def fold(ast: RegexAst, leaf, union, concat, star):
@@ -304,39 +337,55 @@ def parse(text: str) -> RegexAst:
 def to_text(ast: RegexAst) -> str:
     """Render to concrete syntax (round-trips through parse for plain ASTs).
 
-    A value is the text as a list of non-empty pieces, with its precedence.
-    A union or concatenation appends to its left operand's list, which no
-    other value holds, so each maximal chain is joined once, when it is
-    wrapped or printed."""
+    One walk writes the text left to right, as a list of non-empty pieces
+    joined once at the end, and puts an operand in parentheses where it
+    binds looser than its place needs: the right operand of a union when
+    it is a union, the left operand of a concatenation when it is a union,
+    and the right operand of a concatenation or the child of a star when
+    it is either.  So each node is written once, however its chains nest."""
+    out: list[str] = []
+    todo: list = [ast]  # nodes to write and pieces to append, the next last
+    while todo:
+        item = todo.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+        elif cls is Concat:
+            left, right = item.left, item.right
+            if type(right) is Union or type(right) is Concat:
+                todo += (")", right, "(")
+            else:  # Concat marks the seam, checked once the left operand is written
+                todo += (right, Concat)
+            todo += (")", left, "(") if type(left) is Union else (left,)
+        elif cls is type:  # the seam before a concatenation's right operand
+            # Every piece is non-empty, so the last four hold the last four
+            # characters, which are all that `_needs_dot` reads.
+            if _needs_dot("".join(out[-4:]), _head(todo[-1])):
+                out.append(".")
+        elif cls is Union:
+            right = item.right
+            todo += (")", right, "(", "+") if type(right) is Union else (right, "+")
+            todo.append(item.left)
+        elif cls is Star:
+            child = item.child
+            if type(child) is Union or type(child) is Concat:
+                todo += ("*", ")", child, "(")
+            else:
+                todo += ("*", child)
+        elif cls is Literal or cls is Epsilon or cls is Empty:
+            out.append(_leaf_text(item))
+        else:
+            raise TypeError(f"not an expression node: {item!r}")
+    return "".join(out)
 
-    def text(part: tuple[list, int], min_prec: int) -> str:
-        pieces, prec = part
-        joined = "".join(pieces)
-        return f"({joined})" if prec < min_prec else joined
 
-    def union(left: tuple[list, int], right: tuple[list, int]) -> tuple[list, int]:
-        pieces = left[0]
-        pieces += ("+", text(right, 2))
-        return pieces, 1
-
-    def concat(left: tuple[list, int], right: tuple[list, int]) -> tuple[list, int]:
-        pieces = left[0] if left[1] >= 2 else [text(left, 2)]
-        tail = text(right, 3)
-        # Every piece is non-empty, so the last four hold the last four
-        # characters, which are all that `_needs_dot` reads.
-        if _needs_dot("".join(pieces[-4:]), tail):
-            pieces.append(".")
-        pieces.append(tail)
-        return pieces, 2
-
-    pieces, _ = fold(
-        ast,
-        lambda leaf: ([_leaf_text(leaf)], 4),
-        union,
-        concat,
-        lambda child: ([text(child, 3) + "*"], 3),
-    )
-    return "".join(pieces)
+def _head(node: RegexAst) -> str:
+    """The start of the node's text, as far as `_needs_dot` needs it: the
+    text of its leftmost leaf when only stars lie above that leaf, which
+    the stars follow, else ``(``."""
+    while type(node) is Star:
+        node = node.child
+    return "(" if type(node) is Union or type(node) is Concat else _leaf_text(node)
 
 
 def _leaf_text(leaf: RegexAst) -> str:
@@ -364,12 +413,14 @@ def _needs_dot(left: str, right: str) -> bool:
 # --- marking and dropping ---------------------------------------------------
 
 
-class MarkedExpression:
+class MarkedExpression(_Record):
     """An expression whose literal occurrences carry unique indices: the
     tree it was marked from and its positions, leaf i, left to right,
     being position i.  ``ast``, the tree with each literal's symbol
     replaced by its position, is built on first read and kept.  Equal, and
     hashing alike, when their ``ast`` and positions are."""
+
+    _fields = ("tree", "positions")
 
     def __init__(self, tree: RegexAst, positions):
         positions = tuple(positions)
@@ -394,12 +445,6 @@ class MarkedExpression:
 
     def __hash__(self) -> int:
         return hash(tuple(self._key()))
-
-    def __repr__(self) -> str:
-        return f"MarkedExpression(tree={self.tree!r}, positions={self.positions!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _marked(tree: RegexAst, positions: tuple, **derived) -> MarkedExpression:
@@ -462,14 +507,19 @@ def drop(value: MarkedExpression | RegexAst) -> RegexAst:
 # --- position functions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositionTable:
+class PositionTable(_Record):
     """Null/First/Last/Follow of a marked expression."""
 
-    nullable: bool
-    first: frozenset
-    last: frozenset
-    follow: Mapping
+    __slots__ = _fields = ("nullable", "first", "last", "follow")
+
+    def __init__(self, nullable: bool, first: frozenset, last: frozenset, follow: Mapping):
+        _set_nullable(self, nullable)
+        _set_first(self, first)
+        _set_last(self, last)
+        _set_follow(self, follow)
+
+
+_set_nullable, _set_first, _set_last, _set_follow = _slot_setters(PositionTable)
 
 
 def positions(marked: MarkedExpression | RegexAst) -> PositionTable:

@@ -3,8 +3,8 @@ transform (phi/chi) with its block-complete word predicate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from functools import total_ordering
 
 from .automaton import BlockAutomaton, Transition, _trusted, postorder
 from .syntax import (
@@ -17,6 +17,8 @@ from .syntax import (
     Star,
     Union,
     _marked,
+    _Record,
+    _slot_setters,
     fold,
 )
 
@@ -78,14 +80,23 @@ def _induced_cycle(a: BlockAutomaton, subset: set) -> bool:
 # --- the letter expansion of blocks -------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ExpandedSymbol:
+@total_ordering
+class ExpandedSymbol(_Record):
     """One letter of one indexed block: letter w[offset] of block number
-    block_index (offsets start at 1)."""
+    block_index (offsets start at 1).  Ordered by (letter, block_index,
+    offset) among themselves."""
 
-    letter: str
-    block_index: int
-    offset: int
+    __slots__ = _fields = ("letter", "block_index", "offset")
+
+    def __init__(self, letter: str, block_index: int, offset: int):
+        _set_letter(self, letter)
+        _set_block_index(self, block_index)
+        _set_offset(self, offset)
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() < other._values()
 
     def drop(self) -> BlockSymbol:
         return BlockSymbol(self.letter)
@@ -94,6 +105,9 @@ class ExpandedSymbol:
         return f"{self.letter}@{self.block_index}.{self.offset}"
 
     __str__ = pretty
+
+
+_set_letter, _set_block_index, _set_offset = _slot_setters(ExpandedSymbol)
 
 
 def phi(position: Position) -> tuple[ExpandedSymbol, ...]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automaton import (
     BlockAutomaton,
     accepts,
@@ -21,7 +19,7 @@ from .determinism import (
     is_k_lookahead_deterministic,
 )
 from .glushkov import glushkov
-from .syntax import RegexAst, parse
+from .syntax import RegexAst, _Record, _slot_setters, parse
 from .transform import eliminable, eliminate, eliminate_set
 
 DEFAULT_PARAMETER_CAP = 6
@@ -30,17 +28,20 @@ DEFAULT_PARAMETER_CAP = 6
 _MAX_PARAMETER = 249_999
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
-    family: str
-    parameter: int
+class WitnessSpec(_Record):
+    __slots__ = _fields = ("family", "parameter")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        minimum = _FAMILIES[self.family][1]
-        if self.parameter < minimum:
-            raise ValueError(f"{self.family} needs a parameter >= {minimum}")
+    def __init__(self, family: str, parameter: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+        minimum = _FAMILIES[family][1]
+        if parameter < minimum:
+            raise ValueError(f"{family} needs a parameter >= {minimum}")
+        _set_family(self, family)
+        _set_parameter(self, parameter)
+
+
+_set_family, _set_parameter = _slot_setters(WitnessSpec)
 
 
 def build(spec: WitnessSpec) -> BlockAutomaton | RegexAst:
@@ -210,21 +211,31 @@ def _check(parameter: int, minimum: int):
 # --- claim suites -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Claim:
-    name: str
-    ok: bool
+class Claim(_Record):
+    __slots__ = _fields = ("name", "ok")
+
+    def __init__(self, name: str, ok: bool):
+        _set_name(self, name)
+        _set_ok(self, ok)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    family: str
-    parameter: int
-    claims: tuple
+_set_name, _set_ok = _slot_setters(Claim)
+
+
+class VerificationReport(_Record):
+    __slots__ = _fields = ("family", "parameter", "claims")
+
+    def __init__(self, family: str, parameter: int, claims: tuple):
+        _set_report_family(self, family)
+        _set_report_parameter(self, parameter)
+        _set_claims(self, claims)
 
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.claims)
+
+
+_set_report_family, _set_report_parameter, _set_claims = _slot_setters(VerificationReport)
 
 
 def verify(spec: WitnessSpec, parameter_cap: int = DEFAULT_PARAMETER_CAP) -> VerificationReport:

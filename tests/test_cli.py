@@ -1002,6 +1002,11 @@ def _contract_corpus(tmp_path: Path) -> list:
         ["certify", "-k", huge], ["enumerate", "-n", "3"], ["eliminate", "-q", "a_1"],
     )]
     corpus += [["equiv", deep, "a"], ["--text", "parse", union], ["bkw", union]]
+    # A right-nested chain of 20,000 terms, printed back as it came.
+    right_nested = "a+a"
+    for _ in range(20000 - 2):
+        right_nested = f"a+({right_nested})"
+    corpus += [["--text", "parse", right_nested]]
     corpus += [["check", "one-unambiguous", union]]
     # Copying the growing First/Last sets at every union node would take
     # 7.6 and 11.9 s of CPU on 20,000 terms and four times that on 40,000,

@@ -64,6 +64,13 @@ def _corpus():
     yield parse("".join(f"{c}*" for c in "epsmty" * 8))
     yield parse("(" + "+".join(f"{c}*eps" for c in "abc" * 10) + ")*")
     yield from map(parse, BLOCK_EXPRESSION_TEXTS)
+    # Right-nested chains, which `parse` never builds, and their mixtures.
+    for classes in ([Union], [Concat], [Union, Concat], [Concat, Concat, Union]):
+        node = lit("e")
+        for i in range(300):
+            cls = classes[i % len(classes)]
+            node = cls(lit("eps"[i % 3]), Star(node) if i % 7 == 0 else node)
+        yield node
 
 
 def test_front_end_matches_the_referees():
@@ -87,6 +94,15 @@ def test_front_end_matches_the_referees():
 def test_wide_union_prints_like_the_referee():
     expr = parse("+".join(["a"] * 20000))
     assert to_text(expr) == reference_to_text(expr) == "+".join(["a"] * 20000)
+
+
+def test_right_nested_chain_prints_like_the_referee():
+    text = "a+a"
+    for _ in range(20000 - 2):
+        text = f"a+({text})"
+    expr = parse(text)
+    assert type(expr.right) is Union
+    assert to_text(expr) == reference_to_text(expr) == text
 
 
 @pytest.mark.parametrize(
@@ -137,3 +153,5 @@ class TestMarkedExpression:
         marked = mark(parse("a"))
         with pytest.raises(AttributeError):
             marked.positions = ()
+        with pytest.raises(AttributeError):
+            del marked.tree

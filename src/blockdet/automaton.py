@@ -37,7 +37,18 @@ class BlockAutomaton(_Record):
     def __init__(
         self, states: frozenset, initials: frozenset, finals: frozenset, transitions: frozenset
     ):
-        _check(states, initials, finals, transitions)
+        """Refuse parts that make no automaton, with `ValueError`."""
+        if not initials <= states:
+            raise ValueError("initial states must be states")
+        if not finals <= states:
+            raise ValueError("final states must be states")
+        if not all(isinstance(q, str) for q in states):
+            raise ValueError("state names must be strings")
+        for t in transitions:
+            if not (isinstance(t, Transition) and isinstance(t.label, BlockSymbol)):
+                raise ValueError(f"a transition is a Transition with a BlockSymbol label: {t!r}")
+            if t.source not in states or t.target not in states:
+                raise ValueError(f"transition endpoints must be states: {t}")
         self.__dict__.update(
             states=states, initials=initials, finals=finals, transitions=transitions
         )
@@ -50,11 +61,23 @@ class BlockAutomaton(_Record):
         finals: Iterable[str] = (),
         transitions: Iterable = (),
     ) -> "BlockAutomaton":
-        """Build an automaton, coercing (source, label, target) triples."""
+        """Build an automaton from (source, label, target) triples or
+        `Transition`s: the one way in for outside input.  Each distinct
+        label is made a `BlockSymbol` once; the constructor checks the rest."""
         if any(isinstance(x, str) for x in (states, initials, finals, transitions)):
             raise ValueError("states, initials, finals and transitions must not be strings")
-        coerced = frozenset(map(_coerce_transition, transitions))
-        return cls(frozenset(states), frozenset(initials), frozenset(finals), coerced)
+        symbols: dict = {}
+        new = tuple.__new__  # a Transition past its constructor; `__init__` checks it
+        coerced = []
+        for t in transitions:
+            if isinstance(t, str):
+                raise ValueError(f"a transition is a (source, label, target) triple, not a string: {t!r}")
+            source, label, target = t
+            symbol = symbols.get(label) if isinstance(label, str) else None
+            if symbol is None:
+                symbol = symbols[label] = BlockSymbol(label)  # refuses a label that is no string
+            coerced.append(new(Transition, (source, symbol, target)))
+        return cls(frozenset(states), frozenset(initials), frozenset(finals), frozenset(coerced))
 
     @property
     def width(self) -> int:
@@ -106,19 +129,6 @@ class BlockAutomaton(_Record):
         return _common_depths(self)
 
 
-def _check(states, initials, finals, transitions) -> None:
-    """Refuse parts that make no automaton, with `ValueError`."""
-    if not initials <= states:
-        raise ValueError("initial states must be states")
-    if not finals <= states:
-        raise ValueError("final states must be states")
-    if not all(isinstance(q, str) for q in states):
-        raise ValueError("state names must be strings")
-    for t in transitions:
-        if t.source not in states or t.target not in states:
-            raise ValueError(f"transition endpoints must be states: {t}")
-
-
 def _edge_table(states, transitions, end: int) -> dict:
     """Map each state, in sorted order, to the transitions that have it at
     ``end`` (0: the source, 2: the target), in sorted order."""
@@ -147,17 +157,6 @@ def _trusted(states, initials, finals, transitions) -> BlockAutomaton:
         transitions=transitions,
     )
     return a
-
-
-def _coerce_transition(t) -> Transition:
-    if isinstance(t, Transition):
-        return t
-    if isinstance(t, str):
-        raise ValueError(f"a transition is a (source, label, target) triple, not a string: {t!r}")
-    source, label, target = t
-    if not isinstance(label, BlockSymbol):
-        label = BlockSymbol(label)
-    return Transition(source, label, target)
 
 
 def fresh_name(taken: Container[str], base: str) -> str:
@@ -660,9 +659,8 @@ def transition_to_json(t: Transition) -> dict:
 
 def from_json(data: Mapping) -> BlockAutomaton:
     """Read what `to_json` writes: each field a JSON array, each name and
-    label a JSON string, each transition an object.  Each distinct label
-    is made a `BlockSymbol` once, and the automaton is built through
-    `_trusted`, then checked once as the constructor checks it."""
+    label a JSON string, each transition an object; then build through
+    `BlockAutomaton.make`."""
 
     def array(name: str, values, kind=str) -> list:
         if isinstance(values, list) and all(isinstance(v, kind) for v in values):
@@ -680,11 +678,7 @@ def from_json(data: Mapping) -> BlockAutomaton:
             if not (isinstance(source, str) and isinstance(label, str) and isinstance(target, str)):
                 raise TypeError("transition from, label and to must be strings")
             triples.append((source, label, target))
-        symbols = {label: BlockSymbol(label) for label in dict.fromkeys([t[1] for t in triples])}
-        new = tuple.__new__  # a Transition past its constructor: the parts are strings
-        transitions = [new(Transition, (s, symbols[label], t)) for s, label, t in triples]
-        a = _trusted(states, initials, finals, transitions)
-        _check(a.states, a.initials, a.finals, a.transitions)
+        a = BlockAutomaton.make(states, initials, finals, triples)
         for b in array("alphabet", data.get("alphabet", [])):
             BlockSymbol(b)  # checked, then ignored: the alphabet is the labels used
     except (KeyError, TypeError) as exc:

@@ -43,7 +43,8 @@ class BlockSymbol(str):
             raise ValueError("a block needs at least one letter")
         if not letters.isalnum():
             raise ValueError(f"block letters must be alphanumeric: {letters!r}")
-        return super().__new__(cls, letters)
+        # From the letters: `str.__new__` reads a BlockSymbol's pretty `__str__`.
+        return super().__new__(cls, str.__str__(letters))
 
     @property
     def letters(self) -> str:
@@ -670,18 +671,21 @@ def ast_from_json(data: dict) -> RegexAst:
         if not isinstance(item, dict) or "kind" not in item:
             raise ValueError("expression JSON must be an object with a 'kind' field")
         kind = item["kind"]
-        if kind == "empty":
-            built.append(Empty())
-        elif kind == "epsilon":
-            built.append(Epsilon())
-        elif kind == "literal":
-            built.append(Literal(BlockSymbol(item["symbol"])))
-        elif kind == "union":
-            todo += (Union, item["right"], item["left"])
-        elif kind == "concat":
-            todo += (Concat, item["right"], item["left"])
-        elif kind == "star":
-            todo += (Star, item["child"])
-        else:
-            raise ValueError(f"unknown expression node kind: {kind!r}")
+        try:
+            if kind == "empty":
+                built.append(Empty())
+            elif kind == "epsilon":
+                built.append(Epsilon())
+            elif kind == "literal":
+                built.append(Literal(BlockSymbol(item["symbol"])))
+            elif kind == "union":
+                todo += (Union, item["right"], item["left"])
+            elif kind == "concat":
+                todo += (Concat, item["right"], item["left"])
+            elif kind == "star":
+                todo += (Star, item["child"])
+            else:
+                raise ValueError(f"unknown expression node kind: {kind!r}")
+        except KeyError as exc:
+            raise ValueError(f"expression JSON {kind!r} node has no {exc.args[0]!r} field") from None
     return built[0]

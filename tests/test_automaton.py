@@ -32,6 +32,7 @@ from blockdet import (
 from blockdet import automaton, witnesses
 from blockdet import bkw as bkw_module
 from blockdet.bkw import consistent_symbols, orbit_automaton, s_cut
+from blockdet.glushkov import alphabetic_image
 from blockdet.syntax import base_language, mark
 from blockdet.transform import eliminable, eliminate
 from blockdet.witnesses import WitnessSpec, block_ak, block_bk, counterexample_fig7, hanwood_mk, unary_aj
@@ -710,6 +711,39 @@ class TestValidation:
         with pytest.raises(ValueError, match="^state names must be strings$"):
             BlockAutomaton.make(states=[1, 2], initials=[1], transitions=[(1, "a", 2)])
 
+    def test_constructor_refuses_what_is_no_transition(self):
+        # A plain tuple once raised AttributeError; a `str` label was kept,
+        # and `width`, `to_json` and the checks then raised AttributeError.
+        p = frozenset({"p"})
+        for t in (("p", "a", "p"), Transition("p", "a", "p"), Transition("p", 7, "p")):
+            with pytest.raises(ValueError, match="^a transition is a Transition with a BlockSymbol label: "):
+                BlockAutomaton(p, p, p, frozenset({t}))
+
+    def test_make_coerces_the_label_of_a_transition(self):
+        a = BlockAutomaton.make(states={"p"}, transitions=[Transition("p", "ab", "p")])
+        assert a == BlockAutomaton.make(states={"p"}, transitions=[("p", "ab", "p")])
+        assert [type(t.label) for t in a.transitions] == [BlockSymbol] and a.width == 2
+        assert to_json(a)["alphabet"] == ["ab"]
+        with pytest.raises(ValueError, match="^a block is a string of letters: 7$"):
+            BlockAutomaton.make(states={"p"}, transitions=[Transition("p", 7, "p")])
+
+    def test_make_shares_one_label_per_distinct_label(self):
+        # Counted by object identity: one `BlockSymbol` per distinct label,
+        # not one per transition.
+        def labels(a):
+            return len({id(t.label) for t in a.transitions})
+
+        a = unary_aj(2000)
+        assert len(a.transitions) == 4001 and labels(a) == 1
+        g = glushkov(parse("(a+b)*a(a+[ab])*b+[ab]ab")).automaton
+        for mapping in (
+            {BlockSymbol("a"): "x", BlockSymbol("b"): "y", BlockSymbol("ab"): "xy"},
+            {BlockSymbol("a"): BlockSymbol("b"), BlockSymbol("b"): "a", BlockSymbol("ab"): "ba"},
+        ):
+            image = alphabetic_image(g, mapping)
+            assert len(image.transitions) == len(g.transitions) > 20
+            assert labels(image) == len(image.alphabet) == 3
+
     def test_alphabet_defaults_to_used_labels(self):
         a = BlockAutomaton.make(states={"p"}, transitions=[("p", "ab", "p")])
         assert {b.letters for b in a.alphabet} == {"ab"}
@@ -791,6 +825,9 @@ class TestValueTypes:
         assert (one.pretty(), two.pretty()) == ("a", "[ab]")
         assert (str(one), str(two), f"{two}") == ("a", "[ab]", "[ab]")
         assert two == "ab" and hash(two) == hash("ab")
+        # Built from a block's letters, not from its pretty text `[ab]`.
+        again = BlockSymbol(two)
+        assert repr(again) == "BlockSymbol('ab')" and again.width == 2 and again.letters == "ab"
 
     def test_transition_order_and_text(self):
         rng = random.Random(77)

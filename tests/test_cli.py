@@ -1091,8 +1091,17 @@ def test_exit_code_contract(tmp_path):
             assert code == 2 and re.match("blockdet: (a block needs|block letters must)", err), (argv, err)
     codes = [code for code, _, _ in results]
     assert min(codes.count(code) for code in (0, 1, 2)) >= 10  # the corpus reaches all three
-    # The same contract through `python -m blockdet`.
+    # The same contract through `python -m blockdet`, the console script's path.
+    def block_report(verdict: bool, *violations) -> str:
+        k_block = {"k": 1, "verdict": verdict, "violations": list(violations)}
+        report = {"deterministic": verdict, "k_block": k_block, "k_lookahead": None, "min_lookahead": None}
+        return json.dumps(report, indent=2) + "\n"
+
+    clash = [{"from": "i", "label": "a", "to": "a_1"}, {"from": "i", "label": "a", "to": "a_2"}]
     for argv, expected in [
+        (["check", "block", "ab*", "-k", "1"], (0, block_report(True), "")),
+        (["check", "block", "a+ab", "-k", "1"], (1, block_report(False, clash), "")),
+        (["check", "block", "(a", "-k", "1"], (2, "", "blockdet: cannot parse expression '(a': expected ) (at column 2)\n")),
         (["check", "one-unambiguous", "(a+b)*a"], (0, '{\n  "one_unambiguous": true\n}\n', "")),
         (["--text", "check", "block", "a+ab", "-k", "2"], (1, "2-block deterministic: False\n", "")),
         (["witness", "unary_Aj", "-k", str(10**20)], (2, "", "blockdet: parameter must be <= 249999\n")),

@@ -35,6 +35,7 @@ from blockdet.syntax import (
     fold,
     language,
 )
+from blockdet.transform import chi
 
 from conftest import (
     BLOCK_EXPRESSION_TEXTS,
@@ -178,6 +179,7 @@ class TestEquality:
     def test_marked_differs_from_plain(self):
         ast = parse("ab*")
         assert mark(ast).ast != ast
+        assert mark(ast) != ast and ast != mark(ast)
         assert mark(ast) == mark(ast)
         assert drop(mark(ast)) == ast
 
@@ -228,6 +230,10 @@ class TestMark:
     def test_drop_mark_identity(self, text):
         ast = parse(text)
         assert drop(mark(ast)) == ast
+        # `drop` on trees: marked, and letter-expanded.
+        assert drop(mark(ast).ast) == ast
+        expanded = chi(mark(ast))
+        assert drop(expanded.ast) == drop(expanded)
 
     @pytest.mark.parametrize("text", BLOCK_EXPRESSION_TEXTS)
     def test_mark_drop_identity(self, text):
@@ -327,6 +333,15 @@ class TestJson:
             ast_from_json({"kind": "nope"})
         with pytest.raises(ValueError, match="^expression JSON must be an object with a 'kind' field$"):
             ast_from_json(["star"])
+        # Each once raised KeyError.
+        for data, message in [
+            ({"kind": "literal"}, "'literal' node has no 'symbol' field"),
+            ({"kind": "union", "left": {"kind": "epsilon"}}, "'union' node has no 'right' field"),
+            ({"kind": "concat", "right": {"kind": "epsilon"}}, "'concat' node has no 'left' field"),
+            ({"kind": "star", "child": {"kind": "star"}}, "'star' node has no 'child' field"),
+        ]:
+            with pytest.raises(ValueError, match=f"^expression JSON {message}$"):
+                ast_from_json(data)
 
 
 # Runs every expression walk under a recursion limit far below the inputs'

@@ -109,24 +109,12 @@ class BlockAutomaton(_Record):
         leaving one state), in sorted order: the length of the longest label
         word that the targets of two of its transitions both read, or -1
         when two read common words of every length.  Defined on width-1
-        automata.  Built by `blockdet.lookahead`, one tagged-subset walk per
-        group under a work budget, folded from `common_depths` when the
-        budget runs out."""
+        automata.  Built by `blockdet.lookahead`: one tagged-subset walk per
+        group under a shared work budget, or the pair walk over the group's
+        own pairs once the budget runs out."""
         from .lookahead import _group_depths  # here: lookahead imports this module
 
         return _group_depths(self)
-
-    @cached_property
-    def common_depths(self) -> "array":
-        """One depth per clashing pair, in sorted pair order: the length of
-        the longest label word that both targets read, or -1 when they read
-        common words of every length.  Defined on width-1 automata, where
-        the clashing pairs are the pairs inside each clash group.
-        Θ(pairs): built by `blockdet.lookahead` only when a tagged walk runs
-        over its budget, and the referee of those walks."""
-        from .lookahead import _common_depths  # here: lookahead imports this module
-
-        return _common_depths(self)
 
 
 def _edge_table(states, transitions, end: int) -> dict:

@@ -50,9 +50,9 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     """No two same-labelled branches from a state may read a common word of
     length k-1.  The verdict reads the automaton's `group_depths`, one
     greatest common depth per group of same-label transitions leaving a
-    state.  Only when some group reaches k-1 are the violating pairs named,
-    by a level walk k-1 deep in those groups (the pair table,
-    `common_depths`, when the walk runs over its budget)."""
+    state.  Only when some group reaches k-1 are the violating pairs named:
+    by a level walk k-1 deep in each such group, or from the depths of its
+    pairs when it fell back to them (see `blockdet.lookahead`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if a.width > 1:
@@ -67,15 +67,13 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
 
 def min_lookahead(a: BlockAutomaton) -> int | None:
     """Least k making the automaton k-lookahead deterministic, or None when
-    no k exists (some violating pair can read common words of every length)."""
+    no k exists: when the automaton has more or fewer than one initial
+    state, or some violating pair can read common words of every length."""
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    if len(a.initials) != 1:
+    if len(a.initials) != 1 or -1 in a.group_depths:
         return None
-    depths = a.group_depths
-    if -1 in depths:
-        return None
-    return max(depths, default=-1) + 2
+    return max(a.group_depths, default=-1) + 2
 
 
 # --- expression-level checks ------------------------------------------------------

@@ -1,12 +1,15 @@
 """Tagged-subset walks that read k-lookahead determinism from the clash
-groups of a width-1 automaton, and the pair table (`common_depths`) that is
-their fallback when a walk runs over its work budget.  Each group's depth
-and each entry of the table is one `automaton.longest_path` walk."""
+groups of a width-1 automaton (two or more same-label edges leaving one
+state).  The tagged walks of one call share a work budget; a group they
+do not answer within it falls back to the pair walk over its own pairs,
+whose depths are kept with the automaton's `group_depths` for later checks.
+Each group's depth and each pair's depth is one `automaton.longest_path`
+walk."""
 
 from __future__ import annotations
 
 from array import array
-from itertools import combinations, groupby
+from itertools import combinations, compress, groupby
 
 from .automaton import BlockAutomaton, longest_path
 
@@ -24,32 +27,20 @@ def _clash_groups(edges: dict):
                 yield group
 
 
-def _group_pairs(groups):
-    """The clashing pairs: the pairs inside each group, in sorted order."""
-    return (pair for group in groups for pair in combinations(group, 2))
-
-
-def _typecode(a: BlockAutomaton) -> str:
-    """The array typecode of a depth.  A depth stays below the number of
-    state pairs, n(n + 1)/2, which fits 32 bits up to 65,535 states."""
-    return "i" if len(a.states) < 1 << 16 else "q"
-
-
-def _common_depths(a: BlockAutomaton) -> array:
-    """The table behind `BlockAutomaton.common_depths`: a walk of the pair
-    graph from the targets of every clashing pair.  The graph's nodes are
-    unordered state pairs; its edges read one label on both sides.
-
-    A finished pair is kept only where two walks can meet.  Any other pair
-    is entered from one predecessor pair, or also as the targets of one
-    clashing pair, so no pair is walked more than twice."""
+def _pair_walk(a: BlockAutomaton):
+    """The common depth of two states: the length of the longest label word
+    that both read, or -1 when they read common words of every length.  A
+    walk of the pair graph (unordered state pairs; an edge reads one label
+    on both sides), whose finished pairs the calls share.  A finished pair
+    is kept only where two walks can meet; any other is entered from one
+    predecessor pair, or also as the targets of one clashing pair, so no
+    pair is walked more than twice."""
     edges = a.out_edges
     into = a.in_edges
     finished: dict = {}
 
     def successors(pair) -> list:
-        """The pairs one label on.  A list, not a generator: every frame on
-        the walk's path holds one, and a list is smaller."""
+        """The pairs one label on: a list, smaller than a generator."""
         p, q = pair
         found = []
         for i, t1 in enumerate(edges[p]):
@@ -63,22 +54,23 @@ def _common_depths(a: BlockAutomaton) -> array:
         """More than one pair of edges enters the pair."""
         return len(into[pair[0]]) * len(into[pair[1]]) > 1
 
-    depths = array(_typecode(a))
-    for t1, t2 in _group_pairs(_clash_groups(edges)):
-        x, y = t1.target, t2.target
-        root = (x, y) if x <= y else (y, x)
-        depth = finished.get(root)
-        depths.append(longest_path(root, successors, finished, meets) if depth is None else depth)
-    return depths
+    def depth(pair: tuple) -> int:
+        x, y = pair
+        root = pair if x <= y else (y, x)
+        found = finished.get(root)
+        return longest_path(root, successors, finished, meets) if found is None else found
+
+    return depth
 
 
 class _OverBudget(Exception):
-    """A tagged walk used up its work; the pair table answers instead."""
+    """The tagged walks used up their work; the group's pairs answer."""
 
 
-class _TaggedWalk:
-    """Walks of one width-1 automaton from its clash groups, sharing one
-    work budget.
+class _Groups:
+    """The clash groups of one width-1 automaton and the walks that answer
+    them, kept with its `group_depths`: tagged walks sharing one work
+    budget per call, and past it the pair walk over each group's own pairs.
 
     A walk node is the set of states that one word reaches from a group's
     targets, each tagged with the index of the group edge it came from, so
@@ -86,15 +78,38 @@ class _TaggedWalk:
     word's node.  Only nodes where two tags meet are walked.  A node is a
     frozenset of ints, state number × group size + tag, states numbered on
     first use.  One unit of work is one (state, tag) entry expanded, which
-    reads the state's out-edges, or one pair named.  A walk that runs over
-    its budget gives way to the table, so its cost on top of the table's is
-    at most the budget times the greatest out-degree."""
+    reads the state's out-edges, or one pair named, so the tagged walks
+    cost at most the budget times the greatest out-degree."""
 
-    def __init__(self, edges: dict, budget: int):
-        self.edges = edges
+    def __init__(self, a: BlockAutomaton):
+        self.edges = a.out_edges
+        self.groups = list(_clash_groups(self.edges))
+        # Groups with the same targets, which Glushkov automata have at
+        # every position with one Follow set, are answered alike.
+        self.targets = [tuple([t.target for t in g]) for g in self.groups]
+        pairs = sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
+        self.budget = self.left = pairs + len(a.states) + len(a.transitions)
         self.number: dict = {}  # state -> its number
         self.rows: list = []  # number -> the state's out-edges
-        self.left = budget
+        self.fallen: dict = {}  # targets -> the depths of their pairs
+        self.pair_depth = None  # the pair walk, built at the first fallback
+
+    def answer(self, a: BlockAutomaton, targets: tuple, walked, folded):
+        """``walked(targets)`` from the tagged walk, or ``folded(targets,
+        depths)`` from the depths of the targets' pairs, in sorted order:
+        for a group that fell back before, or once the tagged walks of this
+        call have used up the budget, on this group or an earlier one."""
+        depths = self.fallen.get(targets)
+        if depths is None:
+            if self.left >= 0:
+                try:
+                    return walked(targets)
+                except _OverBudget:
+                    pass
+            if self.pair_depth is None:
+                self.pair_depth = _pair_walk(a)
+            depths = self.fallen[targets] = array("q", map(self.pair_depth, combinations(targets, 2)))
+        return folded(targets, depths)
 
     def _number(self, q: str) -> int:
         """Number a state the walk meets for the first time."""
@@ -103,8 +118,7 @@ class _TaggedWalk:
         return n
 
     def _root(self, targets: tuple) -> frozenset:
-        size = len(targets)
-        number = self.number
+        size, number = len(targets), self.number
         return frozenset([
             (number[q] if q in number else self._number(q)) * size + tag
             for tag, q in enumerate(targets)
@@ -117,11 +131,10 @@ class _TaggedWalk:
         moves: dict = {}  # label -> state number -> tags
         for entry in node:
             q, tag = divmod(entry, size)
-            row = rows[q]
             self.left -= 1
             if self.left < 0:
                 raise _OverBudget
-            for _, label, target in row:
+            for _, label, target in rows[q]:
                 into = moves.get(label)
                 if into is None:
                     into = moves[label] = {}
@@ -185,36 +198,20 @@ class _TaggedWalk:
         return sorted(found)
 
 
-def _walk(a: BlockAutomaton, groups: list) -> _TaggedWalk:
-    """A walk whose budget is the clashing-pair count plus the states and
-    transitions."""
-    pairs = sum(len(g) * (len(g) - 1) // 2 for g in groups)
-    return _TaggedWalk(a.out_edges, pairs + len(a.states) + len(a.transitions))
+class _GroupDepths(array):
+    """`BlockAutomaton.group_depths`, carrying the `_Groups` that answered it."""
+
+    __slots__ = ("groups",)
 
 
-def _group_targets(groups: list) -> list:
-    """Each group's targets.  Groups with the same targets, which Glushkov
-    automata have at every position with one Follow set, walk alike."""
-    return [tuple([t.target for t in g]) for g in groups]
-
-
-def _group_depths(a: BlockAutomaton) -> array:
+def _group_depths(a: BlockAutomaton) -> _GroupDepths:
     """The array behind `BlockAutomaton.group_depths`: a tagged walk per
-    group, or the pair table folded per group (-1 above every depth) when
-    the walks use up their budget."""
-    groups = list(_clash_groups(a.out_edges))
-    targets = _group_targets(groups)
-    try:
-        walk = _walk(a, groups)
-        depth = {t: walk.depth(t) for t in dict.fromkeys(targets)}
-        return array(_typecode(a), [depth[t] for t in targets])
-    except _OverBudget:
-        pass
-    table = iter(a.common_depths)
-    depths = array(_typecode(a))
-    for g in groups:
-        run = [next(table) for _ in range(len(g) * (len(g) - 1) // 2)]
-        depths.append(-1 if -1 in run else max(run))
+    distinct group, or its pair depths folded (-1 above every depth)."""
+    groups = _Groups(a)
+    fold = lambda _, depths: -1 if -1 in depths else max(depths)
+    depth = {t: groups.answer(a, t, groups.depth, fold) for t in dict.fromkeys(groups.targets)}
+    depths = _GroupDepths("q", [depth[t] for t in groups.targets])
+    depths.groups = groups
     return depths
 
 
@@ -222,20 +219,24 @@ def _lookahead_violations(a: BlockAutomaton, k: int) -> tuple:
     """The clashing pairs, in sorted order, whose targets read a common
     word of k - 1 letters: those whose depth is unbounded or at least
     k - 1.  A level walk k - 1 deep in each group that reaches k - 1, or
-    the pair table once it is built or when the walk uses up its budget."""
-    groups = list(_clash_groups(a.out_edges))
-    if "common_depths" not in a.__dict__:
-        try:
-            walk = _walk(a, groups)
-            named: dict = {}  # targets -> their pairs (i, j)
-            found = []
-            for group, targets, depth in zip(groups, _group_targets(groups), a.group_depths):
-                if depth < 0 or depth >= k - 1:
-                    if targets not in named:
-                        named[targets] = walk.pairs(targets, k - 1)
-                    found += [(group[i], group[j]) for i, j in named[targets]]
-            return tuple(found)
-        except _OverBudget:
-            pass
-    pairs = zip(_group_pairs(groups), a.common_depths)
-    return tuple(pair for pair, depth in pairs if depth < 0 or depth >= k - 1)
+    its pair depths once it fell back."""
+    groups = a.group_depths.groups
+    groups.left = groups.budget  # a budget of its own, as the depth walks had
+    walked = lambda targets: groups.pairs(targets, k - 1)
+
+    def folded(targets: tuple, kept: array) -> list:
+        pairs = combinations(range(len(targets)), 2)
+        return list(compress(pairs, [depth < 0 or depth >= k - 1 for depth in kept]))
+
+    named: dict = {}  # targets -> their pairs (i, j)
+    found = []
+    for group, targets, depth in zip(groups.groups, groups.targets, a.group_depths):
+        if depth < 0 or depth >= k - 1:
+            if len(group) == 2:  # one pair, whose depth is the group's
+                found.append((group[0], group[1]))
+                continue
+            pairs = named.get(targets)
+            if pairs is None:
+                pairs = named[targets] = groups.answer(a, targets, walked, folded)
+            found += [(group[i], group[j]) for i, j in pairs]
+    return tuple(found)

@@ -335,6 +335,16 @@ def parse(text: str) -> RegexAst:
 # --- printing --------------------------------------------------------------
 
 
+class _Piece(str):
+    """Text on `to_text`'s work stack, told apart from operands by its type."""
+
+    __slots__ = ()
+
+
+_OPEN, _CLOSE, _PLUS, _STAR = map(_Piece, "()+*")
+_SEAM = _Piece()  # the seam before a concatenation's right operand
+
+
 def to_text(ast: RegexAst) -> str:
     """Render to concrete syntax (round-trips through parse for plain ASTs).
 
@@ -343,40 +353,39 @@ def to_text(ast: RegexAst) -> str:
     binds looser than its place needs: the right operand of a union when
     it is a union, the left operand of a concatenation when it is a union,
     and the right operand of a concatenation or the child of a star when
-    it is either.  So each node is written once, however its chains nest."""
+    it is either.  So each node is written once, however its chains nest.
+    An operand that is no expression node raises `TypeError`."""
     out: list[str] = []
     todo: list = [ast]  # nodes to write and pieces to append, the next last
     while todo:
         item = todo.pop()
         cls = type(item)
-        if cls is str:
-            out.append(item)
+        if cls is _Piece:
+            if item:
+                out.append(item)
+            # At the seam every piece so far is non-empty, so the last four
+            # hold the last four characters, which are all `_needs_dot` reads.
+            elif _needs_dot("".join(out[-4:]), _head(todo[-1])):
+                out.append(".")
         elif cls is Concat:
             left, right = item.left, item.right
             if type(right) is Union or type(right) is Concat:
-                todo += (")", right, "(")
-            else:  # Concat marks the seam, checked once the left operand is written
-                todo += (right, Concat)
-            todo += (")", left, "(") if type(left) is Union else (left,)
-        elif cls is type:  # the seam before a concatenation's right operand
-            # Every piece is non-empty, so the last four hold the last four
-            # characters, which are all that `_needs_dot` reads.
-            if _needs_dot("".join(out[-4:]), _head(todo[-1])):
-                out.append(".")
+                todo += (_CLOSE, right, _OPEN)
+            else:  # the seam is checked once the left operand is written
+                todo += (right, _SEAM)
+            todo += (_CLOSE, left, _OPEN) if type(left) is Union else (left,)
         elif cls is Union:
             right = item.right
-            todo += (")", right, "(", "+") if type(right) is Union else (right, "+")
+            todo += (_CLOSE, right, _OPEN, _PLUS) if type(right) is Union else (right, _PLUS)
             todo.append(item.left)
         elif cls is Star:
             child = item.child
             if type(child) is Union or type(child) is Concat:
-                todo += ("*", ")", child, "(")
+                todo += (_STAR, _CLOSE, child, _OPEN)
             else:
-                todo += ("*", child)
-        elif cls is Literal or cls is Epsilon or cls is Empty:
-            out.append(_leaf_text(item))
+                todo += (_STAR, child)
         else:
-            raise TypeError(f"not an expression node: {item!r}")
+            out.append(_leaf_text(item))
     return "".join(out)
 
 
@@ -390,11 +399,14 @@ def _head(node: RegexAst) -> str:
 
 
 def _leaf_text(leaf: RegexAst) -> str:
-    if type(leaf) is Empty:
-        return "empty"
+    """The text of a leaf; `TypeError` for what is no expression node."""
+    if type(leaf) is Literal:
+        return str(leaf.symbol)
     if type(leaf) is Epsilon:
         return "eps"
-    return str(leaf.symbol)
+    if type(leaf) is Empty:
+        return "empty"
+    raise TypeError(f"not an expression node: {leaf!r}")
 
 
 def _needs_dot(left: str, right: str) -> bool:

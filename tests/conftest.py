@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from blockdet import BlockAutomaton, BlockSymbol, parse
+from blockdet.automaton import longest_path
+from blockdet.lookahead import _clash_groups
 from blockdet.syntax import (
     KEYWORDS,
     Concat,
@@ -280,6 +283,40 @@ def reference_postorder(roots, successors) -> list | None:
                 finished.add(node)
                 order.append(node)
     return order
+
+
+def reference_common_depths(a: BlockAutomaton) -> list[int]:
+    """The pair table that `BlockAutomaton.common_depths` kept before the
+    lookahead walks fell back per clash group, kept as their referee: one
+    depth per clashing pair of a width-1 automaton (the pairs inside each
+    clash group, in sorted order), the length of the longest label word
+    that both targets read, or -1 when they read common words of every
+    length.  One walk of the pair graph from the targets of every pair."""
+    edges = a.out_edges
+    into = a.in_edges
+    finished: dict = {}
+
+    def successors(pair) -> list:
+        p, q = pair
+        found = []
+        for i, t1 in enumerate(edges[p]):
+            for t2 in edges[q][i:] if p == q else edges[q]:
+                if t1.label == t2.label:
+                    x, y = t1.target, t2.target
+                    found.append((x, y) if x <= y else (y, x))
+        return found
+
+    def meets(pair) -> bool:
+        return len(into[pair[0]]) * len(into[pair[1]]) > 1
+
+    depths = []
+    for group in _clash_groups(edges):
+        for t1, t2 in combinations(group, 2):
+            x, y = t1.target, t2.target
+            root = (x, y) if x <= y else (y, x)
+            depth = finished.get(root)
+            depths.append(longest_path(root, successors, finished, meets) if depth is None else depth)
+    return depths
 
 
 def reference_mark(ast: RegexAst) -> tuple[RegexAst, tuple]:

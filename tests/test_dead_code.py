@@ -1,7 +1,8 @@
 """Dead-code guard: every import of a module in `blockdet` is used, and every
 module-level function or class is referenced by some module; a public one
 may instead be exported by the package's `__init__`.  Also a recursion
-guard: no function of the package calls itself by name."""
+guard: no function of the package calls itself by name; and a cache-probe
+guard: no module asks an instance dict what has been built."""
 
 import ast
 from pathlib import Path
@@ -111,3 +112,30 @@ def test_no_function_calls_itself():
         f"{module}: {call}" for module, tree in _modules().items() for call in _self_calls(tree)
     ]
     assert not recursive
+
+
+def _dict_probes(tree: ast.AST) -> list:
+    """The membership tests on an instance dict, ``key in x.__dict__`` or
+    ``key not in vars(x)``: probes of what a cached property has built."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        for op, right in zip(node.ops, node.comparators):
+            is_dict = (isinstance(right, ast.Attribute) and right.attr == "__dict__") or (
+                isinstance(right, ast.Call) and getattr(right.func, "id", None) == "vars"
+            )
+            if isinstance(op, (ast.In, ast.NotIn)) and is_dict:
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_no_module_probes_an_instance_dict():
+    # What a value keeps is read through the value, not found out from its
+    # dict; the one fallback decides from what it was given.
+    sample = ast.parse(
+        "x = 'a' in b.__dict__\ny = 'a' not in vars(b)\nz = 'a' in b.d or b.__dict__ == {}\n"
+    )
+    assert _dict_probes(sample) == ["line 1", "line 2"]
+    probes = [f"{module}: {probe}" for module, tree in _modules().items() for probe in _dict_probes(tree)]
+    assert not probes

@@ -44,7 +44,7 @@ from blockdet import (
 )
 from blockdet.automaton import _clashing_pairs
 
-from conftest import BLOCK_EXPRESSION_TEXTS, random_expression
+from conftest import BLOCK_EXPRESSION_TEXTS, random_expression, reference_common_depths
 
 # Names the package itself gives: subsets, chain states, primed initials.
 STATE_NAMES = ["q0", "q1", "q2", "{q0,q1}", "{q1,q2}", "@0", "@1", "i'"]
@@ -62,7 +62,7 @@ def _fresh_in(a):
 
 def _depth_map(a):
     """The lookahead table as a map from clashing pair to common depth."""
-    return dict(zip(_clashing_pairs(a.out_edges), a.common_depths))
+    return dict(zip(_clashing_pairs(a.out_edges), reference_common_depths(a)))
 
 
 def _random_automaton(rng):
@@ -175,21 +175,27 @@ class TestSharedEdgeIndex:
             transitions=[("p", "a", "q"), ("p", "a", "r"), ("q", "b", "p"), ("r", "a", "q")],
         )
         derived = minimize(determinize(trim(a)))
-        _exercise(a, [])
-        _exercise(derived, [])
-        refs = [weakref.ref(a), weakref.ref(derived), weakref.ref(a.group_depths), weakref.ref(a.common_depths)]
-        del a, derived
+        # Its tagged walks run over their budget, so some clash groups keep
+        # their pair depths.
+        fell = glushkov(parse("(a+b)*a(a+b)(a+b)+(a+b)*b(a+b)(a+b)c")).automaton
+        for b in (a, derived, fell):
+            _exercise(b, [])
+        kept = list(fell.group_depths.groups.fallen.values())
+        assert kept
+        refs = [weakref.ref(x) for x in (a, derived, a.group_depths, fell, fell.group_depths, *kept)]
+        del a, derived, fell, b, kept
         gc.collect()
-        assert [r() for r in refs] == [None, None, None, None]
+        assert [r() for r in refs] == [None] * len(refs)
 
 
-# Prints the index, the lookahead depths and violations and the table of a
-# seeded corpus: Glushkov automata of width-1 expressions and their minimal
-# DFAs.  The first expression clashes at two states with different depths.
+# Prints the index, the lookahead depths and violations, the kept pair depths
+# of fallen-back groups and the table of a seeded corpus: Glushkov automata
+# of width-1 expressions and their minimal DFAs.  The first expression
+# clashes at two states with different depths.
 _ORDER_SCRIPT = """
 import random
 from blockdet import glushkov, is_k_lookahead_deterministic, minimal_dfa, parse
-from conftest import random_expression
+from conftest import random_expression, reference_common_depths
 
 rng = random.Random(2020)
 exprs = [parse("x(yz+yw)*(y+x)+x(y+z)")] + [random_expression(rng, 8, 1) for _ in range(60)]
@@ -197,7 +203,7 @@ for expr in exprs:
     for a in (glushkov(expr).automaton, minimal_dfa(expr)):
         print(list(a.out_edges.items()), list(a.in_edges.items()))
         print(list(a.group_depths), is_k_lookahead_deterministic(a, 1).violations)
-        print(list(a.common_depths))
+        print(list(a.group_depths.groups.fallen.items()), reference_common_depths(a))
 """
 
 

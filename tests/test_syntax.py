@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,16 @@ class TestMark:
     def test_fold_rejects_a_non_node(self):
         with pytest.raises(TypeError, match="^not an expression node: 'a'$"):
             fold(Star("a"), None, None, None, None)
+        # Every walk refuses it alike, the printer too.
+        b = Literal(BlockSymbol("b"))
+        for walk, expr, name in [
+            (mark, Star("a"), "a"),
+            (to_text, Star("a"), "a"),
+            (to_text, Union("x+y", b), "x+y"),
+            (str, Concat(b, "eps"), "eps"),
+        ]:
+            with pytest.raises(TypeError, match=f"^not an expression node: '{re.escape(name)}'$"):
+                walk(expr)
 
     def test_empty_alone_is_trimmed(self):
         assert is_trimmed(Empty())

@@ -1,6 +1,7 @@
 """The tagged-subset walks behind k-lookahead determinism: they agree with
-the pair table (`common_depths`) and the marked-language oracle, fall back
-to the table when their budget runs out, and stay linear on word unions."""
+the pair table (`conftest.reference_common_depths`) and the marked-language
+oracle, fall back per clash group to the group's pairs when their budget
+runs out, and stay linear on word unions."""
 
 import math
 import random
@@ -17,9 +18,9 @@ from blockdet import (
     trim,
 )
 from blockdet.automaton import _clashing_pairs
-from blockdet.lookahead import _clash_groups, _TaggedWalk
+from blockdet.lookahead import _Groups
 
-from conftest import random_expression
+from conftest import random_expression, reference_common_depths
 
 
 def _copy(a):
@@ -27,11 +28,17 @@ def _copy(a):
     return BlockAutomaton.make(a.states, a.initials, a.finals, a.transitions)
 
 
+def _fell_back(a):
+    """Whether some clash group fell back to its pairs: their depths are
+    kept beside the group depths."""
+    return bool(a.group_depths.groups.fallen)
+
+
 def _table_answers(a, ks):
     """min_lookahead and the violations at each k, read from the pair table
     of a fresh copy."""
     b = _copy(a)
-    depths = list(b.common_depths)
+    depths = reference_common_depths(b)
     least = None if len(b.initials) != 1 or -1 in depths else max(depths, default=-1) + 2
     pairs = list(_clashing_pairs(b.out_edges))
     return least, {
@@ -41,11 +48,12 @@ def _table_answers(a, ks):
 
 
 def _walk_answers(a, ks):
-    """The same answers from walks with no budget, so the table never
-    answers in their place."""
+    """The same answers from walks with no budget, so no pair walk answers
+    in their place."""
     b = _copy(a)
-    groups = list(_clash_groups(b.out_edges))
-    walk = _TaggedWalk(b.out_edges, math.inf)
+    walk = _Groups(b)
+    walk.left = math.inf
+    groups = walk.groups
     depths = [walk.depth(tuple(t.target for t in g)) for g in groups]
     least = None if len(b.initials) != 1 or -1 in depths else max(depths, default=-1) + 2
     violations = {}
@@ -56,7 +64,7 @@ def _walk_answers(a, ks):
                 targets = tuple(t.target for t in group)
                 found += [(group[i], group[j]) for i, j in walk.pairs(targets, k - 1)]
         violations[k] = tuple(found)
-    assert "common_depths" not in b.__dict__
+    assert "in_edges" not in b.__dict__  # the pair walk reads it
     return least, violations
 
 
@@ -65,7 +73,7 @@ def _public_answers(a, ks):
     walks served them."""
     b = _copy(a)
     answers = (min_lookahead(b), {k: is_k_lookahead_deterministic(b, k).violations for k in ks})
-    return answers, "common_depths" not in b.__dict__
+    return answers, not _fell_back(b)
 
 
 def _random_nfa(rng):
@@ -98,7 +106,7 @@ def _corpus():
 def _ks(a):
     """k = 1..5 and one k past every finite depth, where only the unbounded
     pairs still violate."""
-    finite = [depth for depth in _copy(a).common_depths if depth >= 0]
+    finite = [depth for depth in reference_common_depths(_copy(a)) if depth >= 0]
     return (1, 2, 3, 4, 5, max(finite, default=0) + 2)
 
 
@@ -179,8 +187,8 @@ def _lookahead_answers(a):
 class TestBudget:
     def test_exponential_walk_falls_back_to_the_table(self):
         # Tagged subsets of this family grow like its determinization; the
-        # table holds 10 pairs.  The walk runs over its budget and the table
-        # answers.
+        # table holds 10 pairs.  The walk runs over its budget, and the pair
+        # walk answers for the groups left, over their own pairs.
         n = 12
         either = "(a+b)" * n
         a = glushkov(parse(f"(a+b)*a{either}+(a+b)*b{either}c")).automaton
@@ -190,7 +198,20 @@ class TestBudget:
             min_lookahead(a), {k: is_k_lookahead_deterministic(a, k).violations for k in ks}
         ))
         assert answers == expected
-        assert "common_depths" in a.__dict__ and len(a.common_depths) == 10
+        assert _fell_back(a) and len(reference_common_depths(a)) == 10
+
+    def test_fallback_is_per_group(self):
+        # One of the four distinct groups falls back.  The others keep their
+        # walks' answers, and the checks read the fallen group's kept pair
+        # depths without walking them again.
+        a = glushkov(parse("(a+b)*a(a+b)(a+b)+(a+b)*b(a+b)(a+b)c")).automaton
+        groups = a.group_depths.groups
+        assert len(groups.fallen) == 1 and len(set(groups.targets)) == 4
+        kept = dict(groups.fallen)
+        ks = (1, 2, 3, 4)
+        answers = (min_lookahead(a), {k: is_k_lookahead_deterministic(a, k).violations for k in ks})
+        assert answers == _table_answers(a, ks)
+        assert all(groups.fallen[t] is depths for t, depths in kept.items())
 
     def test_long_chains_are_walked(self):
         # Two a-chains of 1,500 states each off one initial state.
@@ -201,13 +222,13 @@ class TestBudget:
         a = BlockAutomaton.make(["i", *xs, *ys], ["i"], [xs[-1], ys[-1]], transitions)
         least, (at_least, below) = _lookahead_answers(a)
         assert least == 1501 and at_least == () and len(below) == 1
-        assert "common_depths" not in a.__dict__ and "in_edges" not in a.__dict__
+        assert not _fell_back(a) and "in_edges" not in a.__dict__
         assert (least, {1501: at_least, 1500: below}) == _table_answers(a, [1501, 1500])
 
     def test_dictionary_is_walked(self):
         a = glushkov(_dictionary(400, 2203)).automaton
         least, violations = _lookahead_answers(a)
-        assert "common_depths" not in a.__dict__
+        assert not _fell_back(a)
         assert violations[0] == () and violations[1]
         assert (least, {least: violations[0], least - 1: violations[1]}) == _table_answers(
             a, [least, least - 1]
@@ -221,4 +242,4 @@ class TestScaling:
         a = glushkov(_dictionary(3200, 2204)).automaton
         least, violations = _within(2, "lookahead on 3,200 words", lambda: _lookahead_answers(a))
         assert least == 12 and violations[0] == () and violations[1]
-        assert "common_depths" not in a.__dict__
+        assert not _fell_back(a)

@@ -111,7 +111,7 @@ class BlockAutomaton(_Record):
         when two read common words of every length.  Defined on width-1
         automata.  Built by `blockdet.lookahead`: one tagged-subset walk per
         group under a shared work budget, or the pair walk over the group's
-        own pairs once the budget runs out."""
+        own pairs once the budget runs out, which reads `out_edges` only."""
         from .lookahead import _group_depths  # here: lookahead imports this module
 
         return _group_depths(self)
@@ -240,16 +240,14 @@ def _reachable(edges: dict, seeds: Iterable[str], reverse: bool = False) -> set:
     return seen
 
 
-def longest_path(root, successors, finished: dict, keep=None) -> int:
+def longest_path(root, successors, finished: dict) -> int:
     """The number of edges on the longest path from ``root``, or -1 when a
     cycle is reachable from it: the package's one depth-first walk,
     iterative, calling ``successors(node)`` once per node it enters.
 
     Each node's depth goes into ``finished`` as the node finishes, so the
     dict lists nodes in finishing order, and a node found there is not
-    entered again; on a cycle every node on the path gets -1.  With
-    ``keep``, only the nodes it accepts are written, and any other node is
-    entered again wherever it is met."""
+    entered again; on a cycle every node on the path gets -1."""
     path = {root}
     stack = [[root, iter(successors(root)), 0]]  # node, successors left, depth so far
     while True:
@@ -264,16 +262,14 @@ def longest_path(root, successors, finished: dict, keep=None) -> int:
                 depth = -1  # met again on the path: a cycle
             if depth < 0:  # so every node on the path reaches a cycle
                 for node, _, _ in stack:
-                    if keep is None or keep(node):
-                        finished[node] = -1
+                    finished[node] = -1
                 return -1
             if depth >= frame[2]:
                 frame[2] = depth + 1
         else:
             node, _, depth = stack.pop()
             path.remove(node)
-            if keep is None or keep(node):
-                finished[node] = depth
+            finished[node] = depth
             if not stack:
                 return depth
             if depth >= stack[-1][2]:

@@ -3,8 +3,9 @@ groups of a width-1 automaton (two or more same-label edges leaving one
 state).  The tagged walks of one call share a work budget; a group they
 do not answer within it falls back to the pair walk over its own pairs,
 whose depths are kept with the automaton's `group_depths` for later checks.
-Each group's depth and each pair's depth is one `automaton.longest_path`
-walk."""
+The pair walks read only the out-edges and share one dict of the pairs they
+have finished.  Each group's depth and each pair's depth is one
+`automaton.longest_path` walk."""
 
 from __future__ import annotations
 
@@ -27,42 +28,6 @@ def _clash_groups(edges: dict):
                 yield group
 
 
-def _pair_walk(a: BlockAutomaton):
-    """The common depth of two states: the length of the longest label word
-    that both read, or -1 when they read common words of every length.  A
-    walk of the pair graph (unordered state pairs; an edge reads one label
-    on both sides), whose finished pairs the calls share.  A finished pair
-    is kept only where two walks can meet; any other is entered from one
-    predecessor pair, or also as the targets of one clashing pair, so no
-    pair is walked more than twice."""
-    edges = a.out_edges
-    into = a.in_edges
-    finished: dict = {}
-
-    def successors(pair) -> list:
-        """The pairs one label on: a list, smaller than a generator."""
-        p, q = pair
-        found = []
-        for i, t1 in enumerate(edges[p]):
-            for t2 in edges[q][i:] if p == q else edges[q]:
-                if t1.label == t2.label:
-                    x, y = t1.target, t2.target
-                    found.append((x, y) if x <= y else (y, x))
-        return found
-
-    def meets(pair) -> bool:
-        """More than one pair of edges enters the pair."""
-        return len(into[pair[0]]) * len(into[pair[1]]) > 1
-
-    def depth(pair: tuple) -> int:
-        x, y = pair
-        root = pair if x <= y else (y, x)
-        found = finished.get(root)
-        return longest_path(root, successors, finished, meets) if found is None else found
-
-    return depth
-
-
 class _OverBudget(Exception):
     """The tagged walks used up their work; the group's pairs answer."""
 
@@ -70,7 +35,8 @@ class _OverBudget(Exception):
 class _Groups:
     """The clash groups of one width-1 automaton and the walks that answer
     them, kept with its `group_depths`: tagged walks sharing one work
-    budget per call, and past it the pair walk over each group's own pairs.
+    budget per call, and past it the pair walk over each group's own pairs,
+    whose finished pairs every later pair walk reads.
 
     A walk node is the set of states that one word reaches from a group's
     targets, each tagged with the index of the group edge it came from, so
@@ -92,9 +58,9 @@ class _Groups:
         self.number: dict = {}  # state -> its number
         self.rows: list = []  # number -> the state's out-edges
         self.fallen: dict = {}  # targets -> the depths of their pairs
-        self.pair_depth = None  # the pair walk, built at the first fallback
+        self.finished: dict = {}  # pair -> its depth, for every pair walk
 
-    def answer(self, a: BlockAutomaton, targets: tuple, walked, folded):
+    def answer(self, targets: tuple, walked, folded):
         """``walked(targets)`` from the tagged walk, or ``folded(targets,
         depths)`` from the depths of the targets' pairs, in sorted order:
         for a group that fell back before, or once the tagged walks of this
@@ -106,10 +72,29 @@ class _Groups:
                     return walked(targets)
                 except _OverBudget:
                     pass
-            if self.pair_depth is None:
-                self.pair_depth = _pair_walk(a)
-            depths = self.fallen[targets] = array("q", map(self.pair_depth, combinations(targets, 2)))
+            depths = self.fallen[targets] = array("q", map(self._pair_depth, combinations(targets, 2)))
         return folded(targets, depths)
+
+    def _pair_depth(self, pair: tuple) -> int:
+        """The length of the longest label word that both states read, or -1
+        when they read common words of every length: a walk of the pair
+        graph (an edge reads one label on both sides) over ``finished``."""
+        x, y = pair
+        root = pair if x <= y else (y, x)
+        depth = self.finished.get(root)
+        return longest_path(root, self._pair_steps, self.finished) if depth is None else depth
+
+    def _pair_steps(self, pair: tuple) -> list:
+        """The pairs one label on: a list, smaller than a generator."""
+        p, q = pair
+        edges = self.edges
+        found = []
+        for i, t1 in enumerate(edges[p]):
+            for t2 in edges[q][i:] if p == q else edges[q]:
+                if t1.label == t2.label:
+                    x, y = t1.target, t2.target
+                    found.append((x, y) if x <= y else (y, x))
+        return found
 
     def _number(self, q: str) -> int:
         """Number a state the walk meets for the first time."""
@@ -209,7 +194,7 @@ def _group_depths(a: BlockAutomaton) -> _GroupDepths:
     distinct group, or its pair depths folded (-1 above every depth)."""
     groups = _Groups(a)
     fold = lambda _, depths: -1 if -1 in depths else max(depths)
-    depth = {t: groups.answer(a, t, groups.depth, fold) for t in dict.fromkeys(groups.targets)}
+    depth = {t: groups.answer(t, groups.depth, fold) for t in dict.fromkeys(groups.targets)}
     depths = _GroupDepths("q", [depth[t] for t in groups.targets])
     depths.groups = groups
     return depths
@@ -237,6 +222,6 @@ def _lookahead_violations(a: BlockAutomaton, k: int) -> tuple:
                 continue
             pairs = named.get(targets)
             if pairs is None:
-                pairs = named[targets] = groups.answer(a, targets, walked, folded)
+                pairs = named[targets] = groups.answer(targets, walked, folded)
             found += [(group[i], group[j]) for i, j in pairs]
     return tuple(found)

@@ -128,8 +128,23 @@ class _Record:
 
 
 def _repr(record: _Record, names: tuple) -> str:
-    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
-    return f"{type(record).__name__}({fields})"
+    """A frozenset, as a field or a dict field's value, lists its members'
+    reprs sorted, so equal records print alike under every hash seed."""
+    fields = []
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, dict):
+            text = ", ".join(f"{key!r}: {_sorted_repr(v)}" for key, v in value.items())
+            fields.append(f"{name}={{{text}}}")
+        else:
+            fields.append(f"{name}={_sorted_repr(value)}")
+    return f"{type(record).__name__}({', '.join(fields)})"
+
+
+def _sorted_repr(value) -> str:
+    if type(value) is frozenset and value:
+        return f"frozenset({{{', '.join(sorted(map(repr, value)))}}})"
+    return repr(value)
 
 
 def _slot_setters(cls: type) -> list:

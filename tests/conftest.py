@@ -293,7 +293,6 @@ def reference_common_depths(a: BlockAutomaton) -> list[int]:
     that both targets read, or -1 when they read common words of every
     length.  One walk of the pair graph from the targets of every pair."""
     edges = a.out_edges
-    into = a.in_edges
     finished: dict = {}
 
     def successors(pair) -> list:
@@ -306,16 +305,13 @@ def reference_common_depths(a: BlockAutomaton) -> list[int]:
                     found.append((x, y) if x <= y else (y, x))
         return found
 
-    def meets(pair) -> bool:
-        return len(into[pair[0]]) * len(into[pair[1]]) > 1
-
     depths = []
     for group in _clash_groups(edges):
         for t1, t2 in combinations(group, 2):
             x, y = t1.target, t2.target
             root = (x, y) if x <= y else (y, x)
             depth = finished.get(root)
-            depths.append(longest_path(root, successors, finished, meets) if depth is None else depth)
+            depths.append(longest_path(root, successors, finished) if depth is None else depth)
     return depths
 
 

@@ -1,8 +1,9 @@
 """Dead-code guard: every import of a module in `blockdet` is used, and every
 module-level function or class is referenced by some module; a public one
 may instead be exported by the package's `__init__`.  Also a recursion
-guard: no function of the package calls itself by name; and a cache-probe
-guard: no module asks an instance dict what has been built."""
+guard: no function of the package calls itself by name; a cache-probe
+guard: no module asks an instance dict what has been built; and an index
+guard: the lookahead reads no in_edges."""
 
 import ast
 from pathlib import Path
@@ -139,3 +140,20 @@ def test_no_module_probes_an_instance_dict():
     assert _dict_probes(sample) == ["line 1", "line 2"]
     probes = [f"{module}: {probe}" for module, tree in _modules().items() for probe in _dict_probes(tree)]
     assert not probes
+
+
+def _attribute_reads(tree: ast.AST, name: str) -> list:
+    """The lines that read attribute ``name`` of anything."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == name
+    ]
+
+
+def test_lookahead_reads_no_in_edges():
+    # The pair walk reads each pair's out-edges only, so the lookahead never
+    # builds the automaton's second edge index.
+    sample = ast.parse("x = a.in_edges\ny = getattr(a, 'in_edges')\nz = a.out_edges\n")
+    assert _attribute_reads(sample, "in_edges") == ["line 1"]
+    assert not _attribute_reads(_modules()["lookahead.py"], "in_edges")

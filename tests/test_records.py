@@ -258,6 +258,49 @@ def test_named_tuples_build_past_their_constructor():
     assert Position._fields == ("index", "block") and p < Position(4, A)
 
 
+_SEED_SCRIPT = """
+from blockdet.automaton import BlockAutomaton
+from blockdet.bkw import Orbit
+from blockdet.syntax import BlockSymbol, Position, PositionTable
+
+def automaton(states):
+    return BlockAutomaton.make(states, ["p"], ["q"], [("p", "a", "q"), ("q", "b", "r")])
+
+def table(order):
+    ps = [Position(i, BlockSymbol("ab"[i % 2])) for i in order]
+    last = frozenset([p for p in ps if p.index > 6])
+    return PositionTable(False, frozenset(ps), last, {p: frozenset(ps) for p in sorted(ps)})
+
+twins = [
+    (automaton(["p", "q", "r"]), automaton(["r", "q", "p"])),
+    (Orbit(frozenset("pqr"), False, frozenset("qp"), frozenset()),
+     Orbit(frozenset("rqp"), False, frozenset("pq"), frozenset())),
+    (table(range(1, 9)), table(range(8, 0, -1))),
+]
+for x, y in twins:
+    assert x == y and repr(x) == repr(y), (repr(x), repr(y))
+    print(repr(x))
+"""
+
+
+def test_repr_follows_no_hash_seed():
+    # A frozenset iterates in an order that follows the hash seed and, where
+    # two members' hashes share a slot, the order they were added in; the
+    # repr lists the members sorted, so field-equal records print alike.
+    src = str(Path(blockdet.__file__).resolve().parents[1])
+    texts = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed))
+        done = subprocess.run(
+            [sys.executable, "-c", _SEED_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, (hash_seed, done.stderr[-2000:])
+        texts.add(done.stdout)
+    assert len(texts) == 1, texts
+    orbit = "Orbit(states=frozenset({'p', 'q', 'r'}), trivial=False, in_gates=frozenset({'p', 'q'})"
+    assert orbit in texts.pop()
+
+
 def test_import_loads_no_code_generating_module():
     # -S: no site files, which may import these modules on their own.
     src = str(Path(blockdet.__file__).resolve().parents[1])

@@ -11,13 +11,14 @@ from blockdet import (
     BlockAutomaton,
     glushkov,
     is_k_lookahead_deterministic,
+    lookahead,
     marked_language_oracle,
     min_lookahead,
     minimal_dfa,
     parse,
     trim,
 )
-from blockdet.automaton import _clashing_pairs
+from blockdet.automaton import _clashing_pairs, longest_path
 from blockdet.lookahead import _Groups
 
 from conftest import random_expression, reference_common_depths
@@ -64,7 +65,7 @@ def _walk_answers(a, ks):
                 targets = tuple(t.target for t in group)
                 found += [(group[i], group[j]) for i, j in walk.pairs(targets, k - 1)]
         violations[k] = tuple(found)
-    assert "in_edges" not in b.__dict__  # the pair walk reads it
+    assert not walk.finished  # no pair was walked
     return least, violations
 
 
@@ -213,6 +214,43 @@ class TestBudget:
         assert answers == _table_answers(a, ks)
         assert all(groups.fallen[t] is depths for t, depths in kept.items())
 
+    def test_fallen_pairs_are_walked_once(self, monkeypatch):
+        # With no budget every group falls back to its pairs.  The pair walks
+        # keep every pair they finish, so over the depth build and the checks
+        # each pair's successors are computed once, and no in_edges index is
+        # built.  The clashing pair (q0, q4) is also a successor of (q1, q1),
+        # which its sibling pair (q3, q4) reaches.
+        a = BlockAutomaton.make(
+            ["q0", "q1", "q2", "q3", "q4"],
+            ["q0"],
+            ["q4"],
+            [("q1", "b", "q0"), ("q1", "b", "q3"), ("q1", "b", "q4"), ("q2", "a", "q3"),
+             ("q3", "b", "q1"), ("q4", "a", "q1"), ("q4", "b", "q1")],
+        )
+        build = _Groups.__init__
+
+        def starved(groups, b):
+            build(groups, b)
+            groups.budget = groups.left = -1
+
+        expanded = []
+
+        def counted(root, successors, finished):
+            def counting(pair):
+                expanded.append(pair)
+                return successors(pair)
+
+            return longest_path(root, counting, finished)
+
+        monkeypatch.setattr(_Groups, "__init__", starved)
+        monkeypatch.setattr(lookahead, "longest_path", counted)
+        ks = (1, 2, 3)
+        answers = (min_lookahead(a), {k: is_k_lookahead_deterministic(a, k).violations for k in ks})
+        assert ("q0", "q4") in expanded and ("q1", "q1") in expanded
+        assert len(expanded) == len(set(expanded)), sorted(expanded)
+        assert "in_edges" not in a.__dict__
+        assert _fell_back(a) and answers == _table_answers(a, ks)
+
     def test_long_chains_are_walked(self):
         # Two a-chains of 1,500 states each off one initial state.
         xs = [f"x{j}" for j in range(1, 1501)]
@@ -222,7 +260,7 @@ class TestBudget:
         a = BlockAutomaton.make(["i", *xs, *ys], ["i"], [xs[-1], ys[-1]], transitions)
         least, (at_least, below) = _lookahead_answers(a)
         assert least == 1501 and at_least == () and len(below) == 1
-        assert not _fell_back(a) and "in_edges" not in a.__dict__
+        assert not _fell_back(a) and not a.group_depths.groups.finished  # no pair walked
         assert (least, {1501: at_least, 1500: below}) == _table_answers(a, [1501, 1500])
 
     def test_dictionary_is_walked(self):

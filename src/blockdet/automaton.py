@@ -109,9 +109,11 @@ class BlockAutomaton(_Record):
         leaving one state), in sorted order: the length of the longest label
         word that the targets of two of its transitions both read, or -1
         when two read common words of every length.  Defined on width-1
-        automata.  Built by `blockdet.lookahead`: one tagged-subset walk per
-        group under a shared work budget, or the pair walk over the group's
-        own pairs once the budget runs out, which reads `out_edges` only."""
+        automata.  Built by `blockdet.lookahead`: the pair walk over each
+        group's own pairs, which reads `out_edges` only, when no group has
+        more than `lookahead.SMALL` targets, and otherwise a tagged-subset
+        walk per group under a shared work budget, past which its pairs
+        answer too."""
         from .lookahead import _group_depths  # here: lookahead imports this module
 
         return _group_depths(self)

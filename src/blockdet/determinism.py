@@ -50,17 +50,14 @@ def is_k_lookahead_deterministic(a: BlockAutomaton, k: int) -> CheckResult:
     """No two same-labelled branches from a state may read a common word of
     length k-1.  The verdict reads the automaton's `group_depths`, one
     greatest common depth per group of same-label transitions leaving a
-    state.  Only when some group reaches k-1 are the violating pairs named:
-    by a level walk k-1 deep in each such group, or from the depths of its
-    pairs when it fell back to them (see `blockdet.lookahead`)."""
+    state.  The violating pairs are named only in the groups that reach
+    k-1: from the kept depths of a group's pairs, or otherwise by a level
+    walk k-1 deep (see `blockdet.lookahead`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if a.width > 1:
         raise ValueError("lookahead determinism is defined on width-1 automata")
-    depths = a.group_depths
-    violations = ()
-    if min(depths, default=0) < 0 or max(depths, default=-1) >= k - 1:
-        violations = _lookahead_violations(a, k)
+    violations = _lookahead_violations(a, k)
     verdict = len(a.initials) == 1 and not violations
     return CheckResult(k, verdict, violations)
 

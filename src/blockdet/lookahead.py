@@ -1,11 +1,12 @@
-"""Tagged-subset walks that read k-lookahead determinism from the clash
-groups of a width-1 automaton (two or more same-label edges leaving one
-state).  The tagged walks of one call share a work budget; a group they
-do not answer within it falls back to the pair walk over its own pairs,
-whose depths are kept with the automaton's `group_depths` for later checks.
-The pair walks read only the out-edges and share one dict of the pairs they
-have finished.  Each group's depth and each pair's depth is one
-`automaton.longest_path` walk."""
+"""The walks that read k-lookahead determinism from the clash groups of a
+width-1 automaton (two or more same-label edges leaving one state).  One
+rule, in `_Groups.answer`, picks the walk: when no group has more than
+`SMALL` targets, each is answered from the depths of its pairs, otherwise
+by a tagged-subset walk.  The tagged walks of one call share a work budget;
+a group they do not answer within it falls back to its pairs too.  The pair
+depths are kept with the automaton's `group_depths` for later checks.  The
+pair walks read only the out-edges and share one dict of the pairs they
+have finished.  Each depth is one `automaton.longest_path` walk."""
 
 from __future__ import annotations
 
@@ -13,6 +14,12 @@ from array import array
 from itertools import combinations, compress, groupby
 
 from .automaton import BlockAutomaton, longest_path
+
+# Pairs answer an automaton whose groups all have at most SMALL targets; on
+# dense NFAs 4 still wasted work on tagged walks, 8 and 16 none.  Not each
+# small group: a pair walk into a wide group pairs every target with the
+# other side, m^2 pairs from the group of two of (a+ab)(w1+...+wm).
+SMALL = 8
 
 
 def _clash_groups(edges: dict):
@@ -34,18 +41,19 @@ class _OverBudget(Exception):
 
 class _Groups:
     """The clash groups of one width-1 automaton and the walks that answer
-    them, kept with its `group_depths`: tagged walks sharing one work
-    budget per call, and past it the pair walk over each group's own pairs,
-    whose finished pairs every later pair walk reads.
+    them, kept with its `group_depths`: the pair walk over each group's own
+    pairs when every group is small, whose finished pairs every later pair
+    walk reads; otherwise tagged walks sharing one work budget per call,
+    past which a group's pairs answer too.
 
     A walk node is the set of states that one word reaches from a group's
     targets, each tagged with the index of the group edge it came from, so
     two of the group's edges read a common word iff their tags meet in that
     word's node.  Only nodes where two tags meet are walked.  A node is a
-    frozenset of ints, state number × group size + tag, states numbered on
-    first use.  One unit of work is one (state, tag) entry expanded, which
-    reads the state's out-edges, or one pair named, so the tagged walks
-    cost at most the budget times the greatest out-degree."""
+    frozenset of ints, state number × group size + tag, states numbered in
+    sorted order.  One unit of work is one (state, tag) entry expanded,
+    which reads the state's out-edges, or one pair named, so the tagged
+    walks cost at most the budget times the greatest out-degree."""
 
     def __init__(self, a: BlockAutomaton):
         self.edges = a.out_edges
@@ -55,19 +63,23 @@ class _Groups:
         self.targets = [tuple([t.target for t in g]) for g in self.groups]
         pairs = sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
         self.budget = self.left = pairs + len(a.states) + len(a.transitions)
-        self.number: dict = {}  # state -> its number
-        self.rows: list = []  # number -> the state's out-edges
+        # Tagged walks run only where some group has more than SMALL targets.
+        self.wide = any(len(g) > SMALL for g in self.groups)
+        self.number = {q: n for n, q in enumerate(self.edges)} if self.wide else {}
+        self.rows = list(self.edges.values()) if self.wide else []  # number -> out-edges
         self.fallen: dict = {}  # targets -> the depths of their pairs
         self.finished: dict = {}  # pair -> its depth, for every pair walk
 
     def answer(self, targets: tuple, walked, folded):
         """``walked(targets)`` from the tagged walk, or ``folded(targets,
         depths)`` from the depths of the targets' pairs, in sorted order:
-        for a group that fell back before, or once the tagged walks of this
-        call have used up the budget, on this group or an earlier one."""
+        for every group when none has more than `SMALL` targets, and
+        otherwise once the tagged walks of this call have used up the
+        budget, on this group or an earlier one.  The pair depths are kept,
+        so a later call reads them without walking again."""
         depths = self.fallen.get(targets)
         if depths is None:
-            if self.left >= 0:
+            if self.wide and self.left >= 0:
                 try:
                     return walked(targets)
                 except _OverBudget:
@@ -96,18 +108,9 @@ class _Groups:
                     found.append((x, y) if x <= y else (y, x))
         return found
 
-    def _number(self, q: str) -> int:
-        """Number a state the walk meets for the first time."""
-        n = self.number[q] = len(self.rows)
-        self.rows.append(self.edges[q])
-        return n
-
     def _root(self, targets: tuple) -> frozenset:
         size, number = len(targets), self.number
-        return frozenset([
-            (number[q] if q in number else self._number(q)) * size + tag
-            for tag, q in enumerate(targets)
-        ])
+        return frozenset([number[q] * size + tag for tag, q in enumerate(targets)])
 
     def _steps(self, node: frozenset, size: int, keep: int) -> list:
         """The nodes one label on from ``node`` in which two tags meet, each
@@ -123,9 +126,7 @@ class _Groups:
                 into = moves.get(label)
                 if into is None:
                     into = moves[label] = {}
-                n = number.get(target)
-                if n is None:
-                    n = self._number(target)
+                n = number[target]
                 tags = into.get(n)
                 if tags is None:
                     into[n] = {tag}
@@ -151,7 +152,10 @@ class _Groups:
         two least, and two tags meet in a node iff they meet in its two-least
         reduction."""
         size = len(targets)
-        return longest_path(self._root(targets), lambda node: self._steps(node, size, 2), {})
+        depth = longest_path(self._root(targets), lambda node: self._steps(node, size, 2), {})
+        if size == 2:  # which is its one pair's depth, kept for the checks
+            self.fallen[targets] = array("q", [depth])
+        return depth
 
     def pairs(self, targets: tuple, level: int) -> list:
         """The pairs (i, j), i < j, of these targets that read a common word
@@ -190,8 +194,8 @@ class _GroupDepths(array):
 
 
 def _group_depths(a: BlockAutomaton) -> _GroupDepths:
-    """The array behind `BlockAutomaton.group_depths`: a tagged walk per
-    distinct group, or its pair depths folded (-1 above every depth)."""
+    """The array behind `BlockAutomaton.group_depths`: per distinct group,
+    its pair depths folded (-1 above every depth) or its tagged walk."""
     groups = _Groups(a)
     fold = lambda _, depths: -1 if -1 in depths else max(depths)
     depth = {t: groups.answer(t, groups.depth, fold) for t in dict.fromkeys(groups.targets)}
@@ -203,8 +207,9 @@ def _group_depths(a: BlockAutomaton) -> _GroupDepths:
 def _lookahead_violations(a: BlockAutomaton, k: int) -> tuple:
     """The clashing pairs, in sorted order, whose targets read a common
     word of k - 1 letters: those whose depth is unbounded or at least
-    k - 1.  A level walk k - 1 deep in each group that reaches k - 1, or
-    its pair depths once it fell back."""
+    k - 1.  Only the groups whose depth reaches k - 1 are read, each from
+    its kept pair depths or by a level walk k - 1 deep, as `_Groups.answer`
+    picks; so no group names a pair when none reaches k - 1."""
     groups = a.group_depths.groups
     groups.left = groups.budget  # a budget of its own, as the depth walks had
     walked = lambda targets: groups.pairs(targets, k - 1)
@@ -217,9 +222,6 @@ def _lookahead_violations(a: BlockAutomaton, k: int) -> tuple:
     found = []
     for group, targets, depth in zip(groups.groups, groups.targets, a.group_depths):
         if depth < 0 or depth >= k - 1:
-            if len(group) == 2:  # one pair, whose depth is the group's
-                found.append((group[0], group[1]))
-                continue
             pairs = named.get(targets)
             if pairs is None:
                 pairs = named[targets] = groups.answer(targets, walked, folded)

@@ -169,6 +169,33 @@ class RegexAst(_Record):
     def __str__(self) -> str:
         return to_text(self)
 
+    def __repr__(self) -> str:
+        # The fields by name, as `_Record` prints them, from an explicit
+        # stack of nodes and closing texts, so any depth prints.
+        out: list = []
+        todo: list = [self]
+        while todo:
+            node = todo.pop()
+            cls = type(node)
+            if cls is str:
+                out.append(node)
+            elif cls is Literal:
+                out.append(f"Literal(symbol={node.symbol!r})")
+            elif cls is Union or cls is Concat:
+                out.append(f"{cls.__name__}(left=")
+                todo += (")", node.right, ", right=", node.left)
+            elif cls is Star:
+                out.append("Star(child=")
+                todo += (")", node.child)
+            else:
+                out.append(f"{cls.__name__}()")
+        return "".join(out)
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles carry the flat `_postfix` list, so any depth
+        # copies.
+        return _from_postfix, (_postfix(self),)
+
 
 class Empty(RegexAst):
     __slots__ = ()
@@ -270,6 +297,22 @@ def _postfix(ast: RegexAst) -> list:
     inner = lambda cls: lambda *_: out.append(cls)
     fold(ast, leaf, inner(Union), inner(Concat), inner(Star))
     return out
+
+
+def _from_postfix(items: list) -> RegexAst:
+    """The expression whose `_postfix` list ``items`` is: one stack loop."""
+    stack: list = []
+    for item in items:
+        if item is Union or item is Concat:
+            right = stack.pop()
+            stack[-1] = item(stack[-1], right)
+        elif item is Star:
+            stack[-1] = Star(stack[-1])
+        elif item is Epsilon or item is Empty:
+            stack.append(item())
+        else:
+            stack.append(Literal(item))
+    return stack[0]
 
 
 # --- parsing ---------------------------------------------------------------

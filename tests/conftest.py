@@ -285,6 +285,15 @@ def reference_postorder(roots, successors) -> list | None:
     return order
 
 
+def dense_nfa(rng: random.Random, n: int) -> BlockAutomaton:
+    """A rung of the lookahead's NFA ladder: n states s0 .. s(n-1), s0
+    initial and the last final, and 3n transitions over ab drawn at random
+    (one drawn twice counts once), so most states have a clash group."""
+    names = [f"s{i}" for i in range(n)]
+    transitions = [(rng.choice(names), rng.choice("ab"), rng.choice(names)) for _ in range(3 * n)]
+    return BlockAutomaton.make(names, names[:1], names[-1:], transitions)
+
+
 def reference_common_depths(a: BlockAutomaton) -> list[int]:
     """The pair table that `BlockAutomaton.common_depths` kept before the
     lookahead walks fell back per clash group, kept as their referee: one

@@ -191,11 +191,13 @@ class TestSharedEdgeIndex:
 # Prints the index, the lookahead depths and violations, the kept pair depths
 # of fallen-back groups and the table of a seeded corpus: Glushkov automata
 # of width-1 expressions and their minimal DFAs.  The first expression
-# clashes at two states with different depths.
+# clashes at two states with different depths.  Then the answers and kept
+# pair depths of three NFAs of the lookahead's ladder, whose groups are
+# small, so that every one is answered from its pairs.
 _ORDER_SCRIPT = """
 import random
-from blockdet import glushkov, is_k_lookahead_deterministic, minimal_dfa, parse
-from conftest import random_expression, reference_common_depths
+from blockdet import glushkov, is_k_lookahead_deterministic, min_lookahead, minimal_dfa, parse
+from conftest import dense_nfa, random_expression, reference_common_depths
 
 rng = random.Random(2020)
 exprs = [parse("x(yz+yw)*(y+x)+x(y+z)")] + [random_expression(rng, 8, 1) for _ in range(60)]
@@ -204,6 +206,10 @@ for expr in exprs:
         print(list(a.out_edges.items()), list(a.in_edges.items()))
         print(list(a.group_depths), is_k_lookahead_deterministic(a, 1).violations)
         print(list(a.group_depths.groups.fallen.items()), reference_common_depths(a))
+rng = random.Random(11)
+for a in [dense_nfa(rng, 40) for _ in range(3)]:
+    print(list(a.group_depths), min_lookahead(a), [is_k_lookahead_deterministic(a, k).violations for k in (1, 2, 3)])
+    print(list(a.group_depths.groups.fallen.items()))
 """
 
 

@@ -177,6 +177,36 @@ def test_expressions_copy_and_pickle():
             assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
 
+def _unless_it_recurses(call, value):
+    """``call(value)``, failing plainly on a RecursionError: pytest looks for
+    the recursion by comparing every frame's locals, which on the deep
+    expressions below takes minutes."""
+    try:
+        return call(value)
+    except RecursionError:
+        pass
+    pytest.fail(f"{call} recursed")
+
+
+def test_deep_expressions_print_copy_and_pickle():
+    # Far past the recursion limit: a left-nested union of 3,000 letters
+    # and 900 nested stars, bare and marked.
+    a = "Literal(symbol=BlockSymbol('a'))"
+    cases = [
+        (parse("+".join(["a"] * 3000)), "Union(left=" * 2999 + a + f", right={a})" * 2999),
+        (parse("(" * 900 + "a" + ")*" * 900), "Star(child=" * 900 + a + ")" * 900),
+    ]
+    for expr, text in cases:
+        assert _unless_it_recurses(repr, expr) == text
+        marked = mark(expr)
+        prefix = f"MarkedExpression(tree={text}, positions=(Position("
+        assert _unless_it_recurses(repr, marked).startswith(prefix)
+        for value in (expr, marked):
+            for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+                twin = _unless_it_recurses(copier, value)
+                assert type(twin) is type(value) and twin == value
+
+
 def _positional(record) -> tuple:
     return tuple(getattr(record, field) for field in type(record)._fields)
 
